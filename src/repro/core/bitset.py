@@ -14,8 +14,8 @@ Three layers:
   (sorted name order, so bit layout is deterministic across processes);
 - :class:`CompiledWorkload` is a per-workload view materializing every
   query as an ``int`` mask plus mask-keyed utility and inverted-index
-  tables (property→query and property→classifier become lists of ints),
-  memoized per workload via :func:`compile_workload`;
+  tables (property→query becomes lists of ints), memoized per workload
+  via :func:`compile_workload`;
 - :class:`QueryInterner` is the throwaway per-query variant used by
   kernels that receive a bare query and no workload (``is_covered``,
   ``minimal_covers``, ``cheapest_residual_cover``).
@@ -214,7 +214,10 @@ class CompiledWorkload:
     """
 
     def __init__(self, workload: "ClassifierWorkload") -> None:
-        self.workload = workload
+        # Weak: the workload is the key of the weak-keyed ``_COMPILED``
+        # memo, and a strong back-reference from the value would keep
+        # the entry (and the ``_MATRIX`` entry layered on it) alive forever.
+        self._workload = weakref.ref(workload)
         #: Workload version this view was compiled against; a mutation
         #: bumps the workload's counter, `compile_workload` then drops
         #: this view, and any holder that kept it raises through
@@ -259,19 +262,20 @@ class CompiledWorkload:
         self.prop_bitmaps: List[int] = [
             sum(1 << qidx for qidx in row) for row in self.bit_queries
         ]
-        # Lazy: property-bit → relevant classifier masks, mask → cost.
-        self._bit_classifiers: Optional[List[List[int]]] = None
-        self._cost_table: Optional[Dict[int, float]] = None
 
     def assert_current(self) -> None:
-        """Raise :class:`StaleWorkloadError` if the workload mutated since compile."""
-        if getattr(self.workload, "version", 0) != self.version:
+        """Raise :class:`StaleWorkloadError` if the workload mutated since compile.
+
+        A freed workload counts as stale: its last version is unknown.
+        """
+        workload = self._workload()
+        if workload is None or getattr(workload, "version", 0) != self.version:
             from repro.core.errors import StaleWorkloadError
 
+            now = "freed" if workload is None else f"at version {workload.version}"
             raise StaleWorkloadError(
                 f"compiled workload built at version {self.version} read after "
-                f"mutation to version {self.workload.version}; recompile via "
-                f"compile_workload()"
+                f"its workload changed ({now}); recompile via compile_workload()"
             )
 
     # ------------------------------------------------------------------
@@ -344,32 +348,6 @@ class CompiledWorkload:
                 self._row_bitmaps.clear()
             self._row_bitmaps[cmask] = bitmap
         return bitmap
-
-    def _relevant_tables(self) -> Tuple[List[List[int]], Dict[int, float]]:
-        if self._bit_classifiers is None:
-            bit_classifiers: List[List[int]] = [[] for _ in range(len(self.space))]
-            cost_table: Dict[int, float] = {}
-            for classifier in sorted(self.workload.relevant_classifiers(), key=sorted):
-                mask = self.space.clip_mask(classifier)
-                cost_table[mask] = self.workload.cost(classifier)
-                remaining = mask
-                while remaining:
-                    low = remaining & -remaining
-                    bit_classifiers[low.bit_length() - 1].append(mask)
-                    remaining ^= low
-            self._bit_classifiers = bit_classifiers
-            self._cost_table = cost_table
-        return self._bit_classifiers, self._cost_table
-
-    @property
-    def bit_classifiers(self) -> List[List[int]]:
-        """Property-bit → relevant classifier masks (sorted-name order)."""
-        return self._relevant_tables()[0]
-
-    @property
-    def cost_table(self) -> Dict[int, float]:
-        """Relevant classifier mask → construction cost."""
-        return self._relevant_tables()[1]
 
 
 def _require_numpy():

@@ -52,6 +52,28 @@ def powerset_classifiers(query: Query) -> Iterator[Classifier]:
             yield frozenset(combo)
 
 
+class _PayloadMemo:
+    """One-slot box for a workload's encoded fingerprint payload.
+
+    :mod:`repro.parallel.fingerprint` fills it with the UTF-8 encoding of
+    ``workload_tokens`` — the budget-free part of every canonical
+    fingerprint — so a budget sweep or a warm serving read encodes
+    ``⟨Q, U, C⟩`` once per workload version and appends only its
+    ``B=``/``T=`` token.  Every holder of one box has identical token
+    content: ``_bump_version`` gives the mutated workload a fresh box, and
+    only :meth:`BCCInstance.with_budget` twins share one.  Pickling drops
+    the payload; the copy re-derives it on first use.
+    """
+
+    __slots__ = ("payload",)
+
+    def __init__(self) -> None:
+        self.payload: Optional[bytes] = None
+
+    def __reduce__(self):
+        return (_PayloadMemo, ())
+
+
 class ClassifierWorkload:
     """The budget-free part of an instance: queries, utilities, costs.
 
@@ -127,6 +149,7 @@ class ClassifierWorkload:
         self._containing_cache: Dict[PropertySet, Tuple[Query, ...]] = {}
         #: Version the memoized containing/index caches were filled at.
         self._containing_version: int = 0
+        self._payload_memo = _PayloadMemo()
 
     # ------------------------------------------------------------------
     # basic accessors
@@ -366,6 +389,9 @@ class ClassifierWorkload:
         self._classifier_index = None
         self._containing_cache.clear()
         self._containing_version = self.version
+        # Replaced, not cleared: ``with_budget`` twins still hold the old
+        # box, and its payload is still their content.
+        self._payload_memo = _PayloadMemo()
 
     def add_query(self, query: Query, utility: Optional[float] = None) -> None:
         """Append ``query`` to the workload (optionally with an explicit utility).
@@ -504,8 +530,15 @@ class BCCInstance(ClassifierWorkload):
         self.budget = float(budget)
 
     def with_budget(self, budget: float) -> "BCCInstance":
-        """Same workload, different budget (shares no mutable state)."""
-        return BCCInstance(
+        """Same workload, different budget.
+
+        The twin copies the queries and the utility and cost maps; the one
+        state it shares is the fingerprint payload memo, which a mutation
+        of either side replaces on that side only.  The twin of a subclass
+        instance is a plain :class:`BCCInstance`, whose type token differs,
+        so it starts with its own memo.
+        """
+        twin = BCCInstance(
             self.queries,
             self._utilities,
             self._costs,
@@ -513,6 +546,9 @@ class BCCInstance(ClassifierWorkload):
             default_utility=self.default_utility,
             default_cost=self.default_cost,
         )
+        if type(self) is BCCInstance:
+            twin._payload_memo = self._payload_memo
+        return twin
 
     def _restricted(
         self,

@@ -18,6 +18,10 @@ default — two instances whose cost maps differ only in the explicit vs.
 default split of the *same* effective costs hash differently, which costs
 a cache miss but never a wrong hit.  Two semantically different instances
 collide only with SHA-256 collision probability.
+
+The budget-free encoding is memoized on the workload, once per version,
+so a budget sweep or a warm serving read hashes it and appends only the
+``B=``/``T=`` token; every hex equals the cold encoding's.
 """
 
 from __future__ import annotations
@@ -62,6 +66,18 @@ def workload_tokens(workload: ClassifierWorkload) -> List[str]:
     return tokens
 
 
+def _payload(workload: ClassifierWorkload) -> bytes:
+    """The encoded :func:`workload_tokens` stream, memoized on the workload.
+
+    One payload per live workload version, freed with the workload: every
+    mutator replaces the memo box, and ``with_budget`` twins share it.
+    """
+    memo = workload._payload_memo
+    if memo.payload is None:
+        memo.payload = "\x1f".join(workload_tokens(workload)).encode("utf-8")
+    return memo.payload
+
+
 def workload_fingerprint(workload: ClassifierWorkload) -> str:
     """Hex SHA-256 of the budget-free instance content ``⟨Q, U, C⟩``.
 
@@ -72,8 +88,7 @@ def workload_fingerprint(workload: ClassifierWorkload) -> str:
     re-partitioning after a delta.  Budget-sensitive callers want
     :func:`instance_fingerprint` instead.
     """
-    payload = "\x1f".join(workload_tokens(workload)).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+    return hashlib.sha256(_payload(workload)).hexdigest()
 
 
 def shard_fingerprints(
@@ -130,14 +145,18 @@ def shard_fingerprints(
 
 
 def instance_fingerprint(workload: ClassifierWorkload) -> str:
-    """Hex SHA-256 of the canonical instance encoding (includes B/T)."""
-    tokens = workload_tokens(workload)
+    """Hex SHA-256 of the canonical instance encoding (includes B/T).
+
+    The digest of the :func:`workload_tokens` stream plus one ``B=`` or
+    ``T=`` token; the budget-free part is hashed from the workload's
+    memoized payload.
+    """
+    digest = hashlib.sha256(_payload(workload))
     if isinstance(workload, BCCInstance):
-        tokens.append(f"B={_encode_float(workload.budget)}")
+        digest.update(f"\x1fB={_encode_float(workload.budget)}".encode("utf-8"))
     elif isinstance(workload, GMC3Instance):
-        tokens.append(f"T={_encode_float(workload.target)}")
-    payload = "\x1f".join(tokens).encode("utf-8")
-    return hashlib.sha256(payload).hexdigest()
+        digest.update(f"\x1fT={_encode_float(workload.target)}".encode("utf-8"))
+    return digest.hexdigest()
 
 
 def task_fingerprint(

@@ -171,6 +171,8 @@ class _Pending:
 class _Group:
     """A coalesced solve unit: identical effective instances, one solve."""
 
+    #: The coalescing key, which is also the group's result-cache key.
+    fingerprint: str
     instance: BCCInstance
     deadline_ms: Optional[float]
     members: List[_Pending] = field(default_factory=list)
@@ -396,7 +398,7 @@ class ServingFacade:
         order: List[str] = []
 
         def flush(tenant: Optional[str]) -> None:
-            kept: List[Tuple[str, str]] = []
+            kept: List[str] = []
             for key in order:
                 group = groups[key]
                 if tenant is None or tenant in group.tenants():
@@ -434,7 +436,7 @@ class ServingFacade:
             # and deadline share one solve — the key is content, not kind.
             key = self._solve_fingerprint(instance, deadline)
             if key not in groups:
-                groups[key] = _Group(instance=instance, deadline_ms=deadline)
+                groups[key] = _Group(fingerprint=key, instance=instance, deadline_ms=deadline)
                 order.append(key)
             groups[key].members.append(pending)
         flush(None)
@@ -486,11 +488,10 @@ class ServingFacade:
     ) -> None:
         """One solve for a coalesced group, fanned to every waiter."""
         start = self.clock.now()
-        fingerprint = self._solve_fingerprint(group.instance, group.deadline_ms)
         solution: Optional[Solution] = None
         cache_state: Optional[str] = None
         if self.cache is not None:
-            hit = self.cache.get(fingerprint)
+            hit = self.cache.get(group.fingerprint)
             if hit is not None:
                 cached, _seconds = hit
                 try:
@@ -514,7 +515,9 @@ class ServingFacade:
             solution = self._meta.solve(group.instance, deadline_ms=group.deadline_ms)
             self.counters.solves += 1
             if self.cache is not None:
-                self.cache.put(fingerprint, solution, max(self.clock.now() - start, 0.0))
+                self.cache.put(
+                    group.fingerprint, solution, max(self.clock.now() - start, 0.0)
+                )
 
         finish = self.clock.now()
         self.counters.coalesced += len(group.members) - 1

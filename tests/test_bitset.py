@@ -10,7 +10,9 @@ registered engine — lives in ``tests/test_engines.py``.
 
 from __future__ import annotations
 
+import gc
 import math
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,14 @@ from hypothesis import strategies as st
 
 from repro.core import BCCInstance, CoverageTracker, from_letters as fs
 from repro.core.bitset import (
+    _COMPILED,
+    _MATRIX,
     ENGINES,
     PropertySpace,
     QueryInterner,
     active_engine,
+    compile_workload,
+    matrix_workload,
     use_engine,
 )
 from repro.core.coverage import (
@@ -33,6 +39,7 @@ from repro.core.coverage import (
     is_minimal_cover,
     minimal_covers,
 )
+from repro.core.errors import StaleWorkloadError
 from repro.core.model import powerset_classifiers
 from repro.mc3.greedy import cheapest_residual_cover
 from tests.strategies import bcc_instances, solvable_instances
@@ -130,6 +137,35 @@ class TestPropertySpace:
     def test_compiled_is_memoized_per_workload(self):
         instance = _fig1()
         assert instance.compiled() is instance.compiled()
+
+
+class TestCompiledMemoLifetime:
+    """The weak-keyed compile memos free their entry with the workload.
+
+    A compiled view points back at its workload only weakly; a strong
+    back-reference from the memo value to its own key would keep every
+    entry alive for the life of the process.
+    """
+
+    def test_compiled_and_matrix_entries_die_with_their_workload(self):
+        instance = _fig1()
+        compiled = weakref.ref(compile_workload(instance))
+        matrix = weakref.ref(matrix_workload(instance))
+        assert instance in _COMPILED and instance in _MATRIX
+        del instance
+        gc.collect()
+        # The memo held each value strongly, so a dead value is a dead entry.
+        assert compiled() is None
+        assert matrix() is None
+
+    def test_view_outliving_its_workload_reads_as_stale(self):
+        instance = _fig1()
+        view = compile_workload(instance)
+        view.assert_current()
+        del instance
+        gc.collect()
+        with pytest.raises(StaleWorkloadError, match="freed"):
+            view.assert_current()
 
 
 class TestContainingCacheBound:

@@ -20,19 +20,23 @@ runs them with ``-m slow``.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import math
+import pickle
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import BCCInstance
+from repro.core import BCCInstance, ECCInstance, GMC3Instance
 from repro.dks import HksPortfolio
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.runner import FigureResult, averaged_random
 from repro.experiments.scales import MICRO
 from repro.graphs import WeightedGraph
+from repro.incremental.delta import random_delta
 from repro.parallel import (
     ParallelConfig,
     ResultCache,
@@ -51,6 +55,7 @@ from repro.parallel import (
     task_fingerprint,
 )
 from repro.parallel.cache import CACHE_VERSION
+from repro.parallel.fingerprint import workload_fingerprint, workload_tokens
 from repro.qk import QKConfig, solve_qk, solve_qk_taylor
 from repro.verify.certificate import verify_solution
 from tests.strategies import bcc_instances, reencoded_bcc_pairs
@@ -156,6 +161,131 @@ class TestFingerprint:
         assert base != task_fingerprint(instance, "ig1-bcc", None)
         assert base != task_fingerprint(instance, "abcc", 0)
         assert task_fingerprint(instance, "abcc", 0) != task_fingerprint(instance, "abcc", 1)
+
+    def test_pinned_hex(self):
+        # Frozen forever: the memoized encoding must hash exactly as the
+        # cold one did, or every on-disk cache key and arm seed moves.
+        instance = BCCInstance(
+            [frozenset("ab"), frozenset("c")],
+            {frozenset("c"): 3.0},
+            {frozenset("a"): 2.5},
+            budget=2,
+        )
+        expected = "211b1a8a474b53d40b0c512c83360a0e2933683974fac2f8b6e164231b6490fe"
+        assert instance_fingerprint(instance) == expected
+        assert instance_fingerprint(instance.with_budget(2.0)) == expected
+
+
+def _sha(tokens):
+    return hashlib.sha256("\x1f".join(tokens).encode("utf-8")).hexdigest()
+
+
+class TestFingerprintMemo:
+    """The workload's payload memo must never serve another content's hash.
+
+    ``with_budget`` twins share one memo box and every mutator swaps a
+    fresh box into the mutated workload only.  After every step of an
+    arbitrary interleaving of mutations across an instance, its twins and
+    its clones, each memoized fingerprint must equal a cold SHA-256 over
+    ``workload_tokens``.
+    """
+
+    def _assert_cold(self, workload):
+        tokens = workload_tokens(workload)
+        instance_tokens = list(tokens)
+        if isinstance(workload, BCCInstance):
+            instance_tokens.append(f"B={float(workload.budget)!r}")
+        elif isinstance(workload, GMC3Instance):
+            instance_tokens.append(f"T={float(workload.target)!r}")
+        cold = _sha(instance_tokens)
+        assert workload_fingerprint(workload) == _sha(tokens)
+        assert instance_fingerprint(workload) == cold
+        assert task_fingerprint(workload, "abcc", 7) == _sha([cold, "solver=abcc", "seed=7"])
+
+    @staticmethod
+    def _twin(workload, budget):
+        if isinstance(workload, BCCInstance):
+            return workload.with_budget(budget)
+        return workload.as_bcc(budget)
+
+    @staticmethod
+    def _mutate(workload, rng):
+        queries = sorted(workload.queries, key=sorted)
+        op = rng.randrange(5)
+        if op == 0:
+            fresh = frozenset({f"n{rng.randrange(1000)}", rng.choice("abcdefgh")})
+            if not workload.has_query(fresh):
+                workload.add_query(fresh, rng.choice([None, 4.5]))
+        elif op == 1 and len(queries) > 1:
+            workload.remove_query(rng.choice(queries))
+        elif op == 2:
+            workload.set_utility(rng.choice(queries), rng.choice([None, 0.5, 7.0]))
+        elif op == 3:
+            classifier = rng.choice(sorted(workload.relevant_classifiers(), key=sorted))
+            workload.set_cost(classifier, rng.choice([None, 0.0, 3.0, math.inf]))
+        else:
+            workload.apply_delta(random_delta(workload, rng, fraction=0.3))
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        instance=bcc_instances(max_queries=5),
+        kind=st.sampled_from([BCCInstance, GMC3Instance, ECCInstance]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_memoized_equals_cold_under_interleaved_mutation(self, instance, kind, seed):
+        rng = random.Random(seed)
+        extra = {BCCInstance: {"budget": instance.budget}, GMC3Instance: {"target": 2.0}}
+        root = kind(
+            list(instance.queries),
+            dict(instance._utilities),
+            dict(instance._costs),
+            **extra.get(kind, {}),
+        )
+        family = [root]
+        for _ in range(12):
+            member = rng.choice(family)
+            step = rng.randrange(4)
+            if step == 0:
+                family.append(self._twin(member, rng.choice([0.0, 5.0, 40.0])))
+            elif step == 1:
+                family.append(member.clone())
+            else:
+                self._mutate(member, rng)
+            for workload in family:
+                self._assert_cold(workload)
+
+    def test_twins_share_the_memo_and_mutation_splits_it(self):
+        instance = BCCInstance([frozenset("ab"), frozenset("c")], budget=3.0)
+        twin = instance.with_budget(9.0)
+        assert twin._payload_memo is instance._payload_memo
+        before = workload_fingerprint(instance)
+        twin.set_cost(frozenset("a"), 2.0)
+        assert twin._payload_memo is not instance._payload_memo
+        assert workload_fingerprint(instance) == before
+        assert workload_fingerprint(twin) != before
+        assert instance.clone()._payload_memo is not instance._payload_memo
+
+    @pytest.mark.parametrize("kind", [GMC3Instance, ECCInstance])
+    def test_as_bcc_does_not_inherit_the_memo(self, kind):
+        workload = kind([frozenset("ab"), frozenset("c")])
+        assert workload_fingerprint(workload)
+        view = workload.as_bcc(4.0)
+        assert view._payload_memo is not workload._payload_memo
+        assert workload_tokens(view)[1] == "BCCInstance"
+        self._assert_cold(view)
+        self._assert_cold(workload)
+
+    def test_fingerprinted_instances_pickle_to_equal_fingerprints(self):
+        instance = BCCInstance(
+            [frozenset("ab"), frozenset("bc")], {frozenset("bc"): 2.0}, budget=3.0
+        )
+        twin = instance.with_budget(6.0)
+        expected = [task_fingerprint(instance, "abcc", 1), task_fingerprint(twin, "abcc", 1)]
+        assert instance._payload_memo.payload is not None
+        copies = pickle.loads(pickle.dumps([instance, twin]))
+        assert [task_fingerprint(copy, "abcc", 1) for copy in copies] == expected
+        for copy in copies:
+            self._assert_cold(copy)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from repro.core.errors import InvalidInstanceError, UnknownTenantError
 from repro.datasets.zipf import zipf_rank
 from repro.incremental.delta import WorkloadDelta
 from repro.incremental.engine import IncrementalConfig, IncrementalSolver
+from repro.parallel import fingerprint as fingerprint_module
 from repro.parallel.cache import ResultCache
 from repro.serving import (
     PlanRequest,
@@ -49,7 +50,9 @@ from repro.serving import (
     trace_from_json,
     trace_to_json,
 )
+from repro.serving import facade as facade_module
 from repro.serving.cli import main as serving_main
+from repro.serving.traffic import TraceItem
 from repro.verify.certificate import verify_solution
 from tests.conftest import figure1_instance, random_instance
 from tests.strategies import request_streams
@@ -582,6 +585,53 @@ class TestDegenerate:
         responses = serve(facade, [])
         assert responses == []
         assert facade.counters.responses == 0
+
+
+class TestFingerprintWork:
+    """Warm reads encode each tenant workload once per version.
+
+    Counted through wrappers, never timed: the workload's payload memo
+    serves every plan and budget-only what-if of a tenant version, and a
+    coalesced group reuses the key its requests were grouped under.
+    """
+
+    def test_tokens_once_per_tenant_version_and_one_key_per_request(
+        self, tmp_path, monkeypatch
+    ):
+        trace = generate_trace(
+            n_requests=60, n_tenants=3, seed=1, replan_fraction=0.0, what_if_fraction=0.3
+        )
+        delta = WorkloadDelta.of(add={frozenset({"memo-probe"}): 5.0})
+        last = trace.items[-1]
+        for offset, budget in enumerate((None, 30.0), start=1):
+            request = WhatIfRequest("tenant000", budget=budget, delta=delta)
+            trace.items.append(TraceItem(last.seq + offset, last.arrival_s, request))
+        streams, keys = [], []
+        real_tokens = fingerprint_module.workload_tokens
+        real_key = facade_module.task_fingerprint
+
+        def counting_tokens(workload):
+            tokens = real_tokens(workload)
+            streams.append(tuple(tokens))
+            return tokens
+
+        def counting_key(*args, **kwargs):
+            keys.append(args[0])
+            return real_key(*args, **kwargs)
+
+        monkeypatch.setattr(fingerprint_module, "workload_tokens", counting_tokens)
+        monkeypatch.setattr(facade_module, "task_fingerprint", counting_key)
+        facade = make_facade(tmp_path)
+        responses = facade.replay(trace)
+
+        assert all(response.ok for response in responses)
+        assert facade.counters.replans == 0 and facade.counters.solves > 0
+        assert len(keys) == len(trace)
+        hypothetical = trace.tenants["tenant000"].clone()
+        hypothetical.apply_delta(delta)
+        expected = [tuple(real_tokens(instance)) for instance in trace.tenants.values()]
+        expected += [tuple(real_tokens(hypothetical))] * 2
+        assert sorted(streams) == sorted(expected)
 
 
 # ----------------------------------------------------------------------
