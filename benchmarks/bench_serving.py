@@ -14,8 +14,8 @@ scale) through :class:`~repro.serving.facade.ServingFacade` and measures:
 Correctness gates, asserted on every run:
 
 - the virtual-clock replay is **byte-identical** across two independent
-  façades (fresh caches, fresh stats) and across the ``sets`` / ``bits``
-  / ``matrix`` coverage engines — canonical response sequences compared
+  façades (fresh caches, fresh stats) and across the ``sets`` and
+  ``bits`` coverage engines — canonical response sequences compared
   position by position;
 - **every** successful response carries a certificate consistent with
   its solution, and no request errors;

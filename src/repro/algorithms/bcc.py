@@ -24,7 +24,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.algorithms.pruning import PruningConfig, prune_classifiers, prune_qk_graph
 from repro.algorithms.residual import ResidualProblem
-from repro.core.bitset import MASK_ENGINES, active_engine
+from repro.core.bitset import active_engine
 from repro.core.model import BCCInstance, Classifier, Query
 from repro.core.solution import Solution, evaluate
 from repro.knapsack.solvers import solve_knapsack
@@ -146,7 +146,7 @@ def _cover_greedy_pick(
     from repro.mc3.greedy import cheapest_residual_cover
 
     workload = residual.workload
-    compiled = workload.compiled() if active_engine() in MASK_ENGINES else None
+    compiled = workload.compiled() if active_engine() == "bits" else None
     picked: Set[Classifier] = set()
     covered_props: Dict[Query, Set[str]] = {
         q: set(q) - set(residual.missing(q)) for q in residual.uncovered_queries()
@@ -262,7 +262,7 @@ def _swap_polish(
         for query in instance.queries_containing(classifier):
             contributors.setdefault(query, set()).add(classifier)
 
-    compiled = instance.compiled() if active_engine() in MASK_ENGINES else None
+    compiled = instance.compiled() if active_engine() == "bits" else None
 
     def covered_after_sets(
         query: Query, out: Optional[Classifier], incoming: Optional[Classifier]
@@ -498,14 +498,12 @@ def _solve_bcc_impl(
                         picks.append(_cover_greedy_pick(residual, round_budget))
 
             # True-coverage comparison; infeasible picks are discarded.
-            # The candidate slates are probed as one batch — a single
-            # vectorized sweep under the matrix engine, the identical
-            # serial sequence under sets/bits.
+            # Each pick is probed read-only against the current selection.
             best_pick: FrozenSet[Classifier] = frozenset()
             best_gain = 0.0
             best_cost = 0.0
             with phase("pick_eval"):
-                pick_scores = residual.evaluate_gain_batch(picks)
+                pick_scores = [residual.evaluate_gain(pick) for pick in picks]
             for pick, (gain, cost) in zip(picks, pick_scores):
                 if cost <= remaining + 1e-9 and (
                     gain > best_gain + 1e-9

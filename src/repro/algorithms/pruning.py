@@ -71,9 +71,9 @@ def prune_classifiers(
     rule with small-budget protection.
     """
     config = config or PruningConfig()
-    from repro.core.bitset import MASK_ENGINES, active_engine
+    from repro.core.bitset import active_engine
 
-    compiled = workload.compiled() if active_engine() in MASK_ENGINES else None
+    compiled = workload.compiled() if active_engine() == "bits" else None
     relevant = workload.relevant_classifiers()
     allowed: Set[Classifier] = {
         c

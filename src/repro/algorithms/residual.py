@@ -25,7 +25,7 @@ import itertools
 import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.bitset import MASK_ENGINES, active_engine
+from repro.core.bitset import active_engine
 from repro.core.coverage import CoverageTracker
 from repro.core.model import Classifier, ClassifierWorkload, Query, powerset_classifiers
 from repro.graphs.graph import WeightedGraph
@@ -155,7 +155,7 @@ class ResidualProblem:
         with nothing selected this is exactly Observation 4.4's graph.
         """
         graph = WeightedGraph()
-        bits = active_engine() in MASK_ENGINES
+        bits = active_engine() == "bits"
         compiled = self.workload.compiled() if bits else None
         for query in self.uncovered_queries():
             if max_query_length is not None and len(query) > max_query_length:
@@ -211,30 +211,6 @@ class ResidualProblem:
         gain = self.tracker.probe_gain(addition)
         self.stats["rebuilds_avoided"] += 1
         return gain, cost
-
-    def evaluate_gain_batch(
-        self, picks: Iterable[Iterable[Classifier]]
-    ) -> List[Tuple[float, float]]:
-        """Per-pick :meth:`evaluate_gain` over a batch of candidate slates.
-
-        Element ``i`` is float-exact equal to ``evaluate_gain(picks[i])``
-        on the same selection state (each pick is probed against the
-        current tracker, never against another pick's additions).  Routed
-        through the tracker's ``probe_gain_batch`` kernel: one vectorized
-        sweep under the ``matrix`` engine, the serial per-slate sequence
-        under ``sets``/``bits``.
-        """
-        additions: List[List[Classifier]] = []
-        costs: List[float] = []
-        is_selected = self.tracker.is_selected
-        cost_of = self.workload.cost
-        for pick in picks:
-            addition = [c for c in pick if not is_selected(c)]
-            additions.append(addition)
-            costs.append(sum(cost_of(c) for c in addition))
-        gains = self.tracker.probe_gain_batch(additions)
-        self.stats["rebuilds_avoided"] += len(additions)
-        return list(zip(gains, costs))
 
     def _rebuild_evaluate_gain(
         self, classifiers: Iterable[Classifier]

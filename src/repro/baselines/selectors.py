@@ -13,7 +13,7 @@ import math
 import random
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.bitset import MASK_ENGINES, active_engine
+from repro.core.bitset import active_engine
 from repro.core.coverage import CoverageTracker
 from repro.core.model import Classifier, ClassifierWorkload, Query
 from repro.mc3.greedy import cheapest_residual_cover, cover_from_masked_usable
@@ -113,7 +113,7 @@ class IG1Selector(BaseSelector):
     def __init__(self, workload: ClassifierWorkload) -> None:
         super().__init__(workload)
         self._cover_cache: Dict[Query, Optional[Tuple[float, FrozenSet[Classifier]]]] = {}
-        self._compiled = workload.compiled() if active_engine() in MASK_ENGINES else None
+        self._compiled = workload.compiled() if active_engine() == "bits" else None
         # Per-query powerset with base costs; only the selected→0 cost
         # override changes between steps, so the enumeration is hoisted.
         self._static_candidates: Dict[Query, List[Tuple[Classifier, float]]] = {}
@@ -252,7 +252,7 @@ class IG2Selector(BaseSelector):
         # contribute an exact 0.0, so every per-classifier sum accumulates
         # the same doubles in the same order as the reference loop.
         self._csr = None
-        if active_engine() in MASK_ENGINES and self.pool:
+        if active_engine() == "bits" and self.pool:
             import numpy as np
 
             compiled = workload.compiled()

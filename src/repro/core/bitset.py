@@ -20,23 +20,14 @@ Three layers:
   kernels that receive a bare query and no workload (``is_covered``,
   ``minimal_covers``, ``cheapest_residual_cover``).
 
-A fourth layer backs the ``matrix`` engine (wide property spaces):
-
-- :class:`MatrixWorkload` re-packs a :class:`CompiledWorkload` into
-  ``np.uint64`` bitmatrices — queries × 64-bit word-columns, plus the
-  transposed property→query view — so slate probes and batched
-  candidate evaluation (``probe_gain_batch``) run as vectorized
-  AND-NOT/popcount sweeps instead of per-query big-int loops,
-  memoized per workload version via :func:`matrix_workload`.
-
-The engine switch: ``REPRO_ENGINE=sets|bits|matrix`` (default ``bits``)
-selects which backend the kernels run; :func:`use_engine` overrides it
-in-process for differential tests.  ``bits`` and ``matrix`` share the
-mask compilation layer (:data:`MASK_ENGINES`), so every mask kernel in
-the codebase serves both.  The public API everywhere stays ``frozenset``
+The engine switch: ``REPRO_ENGINE=sets|bits`` (default ``bits``) selects
+which backend the kernels run; :func:`use_engine` overrides it
+in-process for differential tests.  Mask kernels gate on
+``active_engine() == "bits"``; the ``sets`` reference runs the same
+algorithms on frozensets.  The public API everywhere stays ``frozenset``
 — translation happens once at compile time and at result boundaries, so
 solutions, certificates and cache fingerprints see identical objects
-under any engine.
+under either engine.
 """
 
 from __future__ import annotations
@@ -59,11 +50,7 @@ from repro.core.properties import PropertySet
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.model import ClassifierWorkload
 
-ENGINES: Tuple[str, ...] = ("sets", "bits", "matrix")
-#: Engines whose kernels run on compiled int masks; the ``matrix``
-#: backend extends ``bits`` (same mask layout, numpy batch kernels on
-#: top), so every ``bits`` fast path in the codebase gates on this.
-MASK_ENGINES: Tuple[str, ...] = ("bits", "matrix")
+ENGINES: Tuple[str, ...] = ("sets", "bits")
 _DEFAULT_ENGINE = "bits"
 _OVERRIDE: Optional[str] = None
 
@@ -72,7 +59,7 @@ _ROW_BITMAP_CAP = 8192
 
 
 def active_engine() -> str:
-    """The coverage-algebra backend in effect: ``sets``/``bits``/``matrix``.
+    """The coverage-algebra backend in effect: ``sets`` or ``bits``.
 
     Reads ``REPRO_ENGINE`` (default ``bits``) unless :func:`use_engine`
     is overriding it.  Components bind a backend at construction time
@@ -216,7 +203,7 @@ class CompiledWorkload:
     def __init__(self, workload: "ClassifierWorkload") -> None:
         # Weak: the workload is the key of the weak-keyed ``_COMPILED``
         # memo, and a strong back-reference from the value would keep
-        # the entry (and the ``_MATRIX`` entry layered on it) alive forever.
+        # the entry alive forever.
         self._workload = weakref.ref(workload)
         #: Workload version this view was compiled against; a mutation
         #: bumps the workload's counter, `compile_workload` then drops
@@ -350,126 +337,7 @@ class CompiledWorkload:
         return bitmap
 
 
-def _require_numpy():
-    """numpy, or a typed error explaining how to avoid the matrix engine."""
-    try:
-        import numpy
-    except ImportError as exc:  # pragma: no cover - numpy ships in the image
-        raise RuntimeError(
-            "REPRO_ENGINE=matrix requires numpy; install it or select the "
-            "'bits' engine (REPRO_ENGINE=bits)"
-        ) from exc
-    return numpy
-
-
-def matrix_available() -> bool:
-    """Whether the ``matrix`` engine can run (numpy importable)."""
-    try:
-        import numpy  # noqa: F401
-    except ImportError:  # pragma: no cover - numpy ships in the image
-        return False
-    return True
-
-
-class MatrixWorkload:
-    """A :class:`CompiledWorkload` re-packed into ``np.uint64`` bitmatrices.
-
-    Layout (``P`` properties, ``Q`` queries, ``W = ceil(P/64)`` /
-    ``Wq = ceil(Q/64)`` word-columns):
-
-    - :attr:`query_words` — ``(Q, W)`` uint64, row ``i`` is query ``i``'s
-      property mask packed little-endian (word ``j`` holds property bits
-      ``64j .. 64j+63``);
-    - :attr:`prop_query_words` — ``(P, Wq)`` uint64, the transposed
-      property→query view: row ``p`` is the bitmap of query positions
-      containing property ``p`` (the packed form of
-      ``CompiledWorkload.prop_bitmaps``).
-
-    Classifier-side lookups (:meth:`pack`, :meth:`rows`) are memoized
-    under the compiled layer's non-empty-only rule, so the caches stay
-    bounded by the relevant-classifier count.  Version-keyed like the
-    compiled view: :meth:`assert_current` raises
-    :class:`~repro.core.errors.StaleWorkloadError` after any workload
-    mutation, so matrices can never serve pre-mutation coverage.
-    """
-
-    def __init__(self, compiled: CompiledWorkload) -> None:
-        np = _require_numpy()
-        self.np = np
-        self.compiled = compiled
-        self.version = compiled.version
-        n_props = len(compiled.space)
-        n_queries = len(compiled.queries)
-        self.words: int = max(1, -(-n_props // 64))
-        self.query_words = self._pack_rows(compiled.query_masks, self.words)
-        qwords = max(1, -(-n_queries // 64))
-        self.prop_query_words = self._pack_rows(compiled.prop_bitmaps, qwords)
-        # classifier mask → (W,) packed words / ascending containing rows.
-        self._pack_cache: Dict[int, object] = {}
-        self._rows_cache: Dict[int, object] = {}
-
-    def _pack_rows(self, masks: List[int], words: int):
-        """Pack int masks into a ``(len(masks), words)`` uint64 matrix."""
-        np = self.np
-        if not masks:
-            return np.zeros((0, words), dtype=np.uint64)
-        nbytes = words * 8
-        buffer = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
-        return np.frombuffer(buffer, dtype="<u8").reshape(len(masks), words)
-
-    def assert_current(self) -> None:
-        """Raise :class:`StaleWorkloadError` if the workload mutated."""
-        self.compiled.assert_current()
-
-    def pack(self, mask: int):
-        """``mask`` as a read-only ``(W,)`` uint64 row (memoized non-empty)."""
-        cached = self._pack_cache.get(mask)
-        if cached is None:
-            row = self.np.frombuffer(
-                mask.to_bytes(self.words * 8, "little"), dtype="<u8"
-            )
-            if mask:
-                self._pack_cache[mask] = row
-            return row
-        return cached
-
-    def rows(self, cmask: int):
-        """Ascending query positions containing ``cmask`` as an intp array."""
-        cached = self._rows_cache.get(cmask)
-        if cached is None:
-            cached = self.np.asarray(self.compiled.containing(cmask), dtype=self.np.intp)
-            if cached.size:
-                self._rows_cache[cmask] = cached
-        return cached
-
-    def popcount(self, matrix):
-        """Per-row population count of a uint64 matrix (vectorized)."""
-        np = self.np
-        if hasattr(np, "bitwise_count"):
-            return np.bitwise_count(matrix).sum(axis=-1, dtype=np.int64)
-        bytes_view = matrix.view(np.uint8)  # pragma: no cover - numpy < 2
-        return np.unpackbits(bytes_view, axis=-1).sum(axis=-1, dtype=np.int64)
-
-
 _COMPILED: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_MATRIX: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
-
-def matrix_workload(workload: "ClassifierWorkload") -> MatrixWorkload:
-    """The memoized matrix view of ``workload`` (one per instance version).
-
-    Layered on :func:`compile_workload`: the same weak-keyed,
-    version-keyed discipline — a mutation bumps ``workload.version``, the
-    stale matrices are dropped here and rebuilt on demand, and any holder
-    that kept the old view raises :class:`StaleWorkloadError` through
-    :meth:`MatrixWorkload.assert_current` instead of reading pre-mutation
-    bit rows.
-    """
-    matrix = _MATRIX.get(workload)
-    if matrix is None or matrix.version != getattr(workload, "version", 0):
-        matrix = MatrixWorkload(compile_workload(workload))
-        _MATRIX[workload] = matrix
-    return matrix
 
 
 def compile_workload(workload: "ClassifierWorkload") -> CompiledWorkload:

@@ -13,20 +13,14 @@ Two interchangeable backends implement the algebra (see
 :mod:`repro.core.bitset`): the ``sets`` reference runs on frozensets, the
 default ``bits`` engine interns properties to bit positions and runs the
 same algorithms on Python ints.  Both produce identical results — the
-differential suite (``tests/test_bitset.py``) holds them to it.
+differential suite (``tests/test_engines.py``) holds them to it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.bitset import (
-    MASK_ENGINES,
-    QueryInterner,
-    active_engine,
-    compile_workload,
-    matrix_workload,
-)
+from repro.core.bitset import QueryInterner, active_engine, compile_workload
 from repro.core.model import Classifier, ClassifierWorkload, Query
 
 ClassifierSet = FrozenSet[Classifier]
@@ -34,7 +28,7 @@ ClassifierSet = FrozenSet[Classifier]
 
 def is_covered(query: Query, classifiers: Iterable[Classifier]) -> bool:
     """Whether ``query`` is covered by the classifier collection."""
-    if active_engine() in MASK_ENGINES:
+    if active_engine() == "bits":
         interner = QueryInterner(query)
         remaining = interner.full
         for classifier in classifiers:
@@ -65,7 +59,7 @@ def covered_queries(
     tests.
     """
     selected = {c for c in classifiers if c}
-    if active_engine() in MASK_ENGINES:
+    if active_engine() == "bits":
         # Accumulate each touched query's covered-property mask (small
         # ints) over the memoized ``containing`` rows; a query is covered
         # when its accumulated union equals its own mask.
@@ -226,7 +220,7 @@ def minimal_covers(
         candidates = [c for c in set(available) if c <= query]
     if max_size is None:
         max_size = len(query)
-    if active_engine() in MASK_ENGINES:
+    if active_engine() == "bits":
         return _minimal_covers_bits(query, candidates, max_size)
     return _minimal_covers_sets(query, candidates, max_size)
 
@@ -281,12 +275,8 @@ class CoverageTracker:
     engine_name: str = "sets"
 
     def __new__(cls, workload: Optional[ClassifierWorkload] = None):
-        if cls is CoverageTracker:
-            engine = active_engine()
-            if engine == "bits":
-                return super().__new__(BitsetCoverageTracker)
-            if engine == "matrix":
-                return super().__new__(MatrixCoverageTracker)
+        if cls is CoverageTracker and active_engine() == "bits":
+            return super().__new__(BitsetCoverageTracker)
         return super().__new__(cls)
 
     def __init__(self, workload: ClassifierWorkload) -> None:
@@ -446,20 +436,6 @@ class CoverageTracker:
         for query in newly:
             gain += workload.utility(query)
         return gain
-
-    def probe_gain_batch(
-        self, slates: Iterable[Iterable[Classifier]]
-    ) -> List[float]:
-        """Per-slate :meth:`probe_gain` over a batch of candidate slates.
-
-        The contract on every backend: element ``i`` is float-exact equal
-        to ``probe_gain(slates[i])`` called on the same tracker state —
-        the batch is read-only and slates never see each other's
-        additions.  ``sets``/``bits`` fall back to the serial sequence;
-        the ``matrix`` backend evaluates the whole batch in one
-        vectorized AND-NOT/popcount sweep.
-        """
-        return [self.probe_gain(slate) for slate in slates]
 
     def add(self, classifier: Classifier) -> List[Query]:
         """Select ``classifier``; return queries that became covered."""
@@ -643,9 +619,9 @@ class BitsetCoverageTracker(CoverageTracker):
         # rollback, and ``remove`` applies its recomputed per-query masks
         # as set/clear deltas — so solver loops that alternate
         # mutate/probe never pay a full rebuild walk again.  ``None`` =
-        # never built (the matrix backend probes its numpy mirror
-        # instead, so it stays ``None`` there and the maintenance in the
-        # mutation hot paths is a single ``is None`` test).
+        # never built (a tracker that only adds, or probes through row
+        # replay, never pays for it), so the maintenance in the mutation
+        # hot paths is a single ``is None`` test.
         self._t_by_prop: Optional[Dict[int, int]] = None
         self._t_uncovered: int = 0
 
@@ -957,182 +933,3 @@ class BitsetCoverageTracker(CoverageTracker):
         self._replay_totals()
         return newly_uncovered
 
-
-class MatrixCoverageTracker(BitsetCoverageTracker):
-    """The ``matrix`` backend: missing sets as a packed ``uint64`` bitmatrix.
-
-    Subclasses :class:`BitsetCoverageTracker`, so the mutation machinery —
-    add/remove, checkpoint/rollback undo log, replay-order totals — is the
-    ``bits`` implementation verbatim and its bit-for-bit semantics carry
-    over unchanged.  What changes is the probe side: a ``(Q, W)`` uint64
-    mirror of the per-query missing masks (kept in sync lazily via a
-    dirty-row set) lets :meth:`probe_gain` evaluate a slate as one
-    vectorized AND-NOT sweep over the touched rows, and
-    :meth:`probe_gain_batch` score a whole batch of candidate slates in a
-    single ``(S, Q, W)`` pass.  Newly covered utilities are still summed
-    in ascending workload order from 0.0 — numpy finds *which* queries
-    flip, Python sums *their* utilities — so every returned float is
-    engine-identical to ``sets``/``bits``.
-    """
-
-    engine_name = "matrix"
-
-    def _init_missing(self) -> None:
-        super()._init_missing()
-        self._matrix = matrix_workload(self._workload)
-        np = self._matrix.np
-        # Writable mirror of ``_missing`` (the compiled query masks, one
-        # packed row per query) plus the uncovered-row indicator.
-        self._missing_np = self._matrix.query_words.copy()
-        self._uncovered_np = np.fromiter(
-            (bool(mask) for mask in self._compiled.query_masks),
-            dtype=bool,
-            count=len(self._compiled.query_masks),
-        )
-        # Rows whose int mask changed since the last numpy sync.
-        self._dirty_rows: Set[int] = set()
-
-    # ------------------------------------------------------------------
-    # mutation hooks: record which rows the bits machinery touched
-    # ------------------------------------------------------------------
-    def add(self, classifier: Classifier) -> List[Query]:
-        fresh = classifier not in self._selected
-        newly = super().add(classifier)
-        if fresh:
-            cmask = self._compiled.mask_of(classifier)
-            if cmask:
-                self._dirty_rows.update(self._compiled.containing(cmask))
-        return newly
-
-    def _undo_one(self) -> None:
-        if self._undo:
-            _, _, removed = self._undo[-1]
-            self._dirty_rows.update(qidx for qidx, _ in removed)
-        super()._undo_one()
-
-    def remove(self, classifier: Classifier) -> List[Query]:
-        cmask = self._selected_masks.get(classifier)
-        newly_uncovered = super().remove(classifier)
-        if cmask:
-            self._dirty_rows.update(self._compiled.containing(cmask))
-        return newly_uncovered
-
-    def _sync_np(self) -> None:
-        """Re-pack the rows whose int missing mask changed since last sync."""
-        dirty = self._dirty_rows
-        if not dirty:
-            return
-        np = self._matrix.np
-        nbytes = self._matrix.words * 8
-        missing = self._missing
-        missing_np = self._missing_np
-        uncovered_np = self._uncovered_np
-        for qidx in dirty:
-            mask = missing[qidx]
-            missing_np[qidx] = np.frombuffer(
-                mask.to_bytes(nbytes, "little"), dtype="<u8"
-            )
-            uncovered_np[qidx] = bool(mask)
-        dirty.clear()
-
-    # ------------------------------------------------------------------
-    # probe kernels
-    # ------------------------------------------------------------------
-    def _newly_covered_rows(self, masks: List[int]):
-        """Ascending query positions a slate flips to covered (post-sync).
-
-        Work is proportional to the slate's containment footprint, not to
-        the workload: only rows some slate classifier is contained in can
-        flip, so the AND-NOT sweep runs over that row universe alone.
-        """
-        matrix = self._matrix
-        np = matrix.np
-        if len(masks) == 1:
-            # One classifier: only its containing rows can flip.
-            cmask = masks[0]
-            rows = matrix.rows(cmask)
-            if not rows.size:
-                return rows
-            still = self._missing_np[rows] & ~matrix.pack(cmask)
-            return rows[self._uncovered_np[rows] & ~still.any(axis=1)]
-        row_arrays = [(cmask, matrix.rows(cmask)) for cmask in masks]
-        nonempty = [rows for _, rows in row_arrays if rows.size]
-        if not nonempty:
-            return np.zeros(0, dtype=np.intp)
-        universe = np.unique(np.concatenate(nonempty))
-        cleared = np.zeros((universe.size, matrix.words), dtype=np.uint64)
-        for cmask, rows in row_arrays:
-            if rows.size:
-                cleared[np.searchsorted(universe, rows)] |= matrix.pack(cmask)
-        still_any = (self._missing_np[universe] & ~cleared).any(axis=1)
-        return universe[self._uncovered_np[universe] & ~still_any]
-
-    def probe_gain(self, additions: Iterable[Classifier]) -> float:
-        self._check_current()
-        self.rollbacks += 1
-        mask_of = self._compiled.mask_of
-        masks = [m for c in additions if (m := mask_of(c))]
-        if not masks:
-            return 0.0
-        self._sync_np()
-        gain = 0.0
-        utilities = self._compiled.utilities
-        for qidx in self._newly_covered_rows(masks).tolist():
-            gain += utilities[qidx]
-        return gain
-
-    def probe_gain_batch(
-        self, slates: Iterable[Iterable[Classifier]]
-    ) -> List[float]:
-        self._check_current()
-        mask_of = self._compiled.mask_of
-        mask_lists = [
-            [m for c in slate if (m := mask_of(c))] for slate in slates
-        ]
-        self.rollbacks += len(mask_lists)
-        if not mask_lists:
-            return []
-        self._sync_np()
-        matrix = self._matrix
-        np = matrix.np
-        utilities = self._compiled.utilities
-        gains = [0.0] * len(mask_lists)
-        # The batch row universe: only rows some batch classifier is
-        # contained in can flip, so the broadcast sweep runs over those —
-        # work scales with the batch's containment footprint, not |Q|.
-        row_arrays = {}
-        for masks in mask_lists:
-            for cmask in masks:
-                if cmask not in row_arrays:
-                    row_arrays[cmask] = matrix.rows(cmask)
-        nonempty = [rows for rows in row_arrays.values() if rows.size]
-        if not nonempty:
-            return gains
-        universe = np.unique(np.concatenate(nonempty))
-        positions = {
-            cmask: np.searchsorted(universe, rows)
-            for cmask, rows in row_arrays.items()
-            if rows.size
-        }
-        missing_r = self._missing_np[universe]
-        uncovered_r = self._uncovered_np[universe]
-        # Chunked (S, R, W) sweep: bounds the cleared-matrix working set
-        # while still amortizing the broadcast AND-NOT over many slates.
-        chunk_size = max(1, (1 << 22) // max(1, missing_r.size))
-        for start in range(0, len(mask_lists), chunk_size):
-            chunk = mask_lists[start : start + chunk_size]
-            cleared = np.zeros((len(chunk),) + missing_r.shape, dtype=np.uint64)
-            for offset, masks in enumerate(chunk):
-                out = cleared[offset]
-                for cmask in masks:
-                    pos = positions.get(cmask)
-                    if pos is not None:
-                        out[pos] |= matrix.pack(cmask)
-            still_any = (missing_r[None, :, :] & ~cleared).any(axis=2)
-            newly = uncovered_r[None, :] & ~still_any
-            for offset in range(len(chunk)):
-                gain = 0.0
-                for qidx in universe[np.flatnonzero(newly[offset])].tolist():
-                    gain += utilities[qidx]
-                gains[start + offset] = gain
-        return gains

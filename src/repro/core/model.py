@@ -260,9 +260,9 @@ class ClassifierWorkload:
         cached = self._containing_cache.get(properties)
         if cached is not None:
             return cached
-        from repro.core.bitset import MASK_ENGINES, active_engine
+        from repro.core.bitset import active_engine
 
-        if active_engine() in MASK_ENGINES:
+        if active_engine() == "bits":
             compiled = self.compiled()
             mask = compiled.mask_of(properties)
             if not mask:
@@ -320,9 +320,9 @@ class ClassifierWorkload:
                             if classifier in pool_set and classifier <= query:
                                 result.append(classifier)
                 return result
-        from repro.core.bitset import MASK_ENGINES, active_engine
+        from repro.core.bitset import active_engine
 
-        if active_engine() in MASK_ENGINES:
+        if active_engine() == "bits":
             compiled = self.compiled()
             qmask = compiled.mask_of(query)
             if qmask is not None:

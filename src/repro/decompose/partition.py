@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Sequence, Tuple
 
-from repro.core.bitset import MASK_ENGINES, active_engine
+from repro.core.bitset import active_engine
 from repro.core.model import BCCInstance, ClassifierWorkload, Query
 
 
@@ -124,7 +124,7 @@ def _property_rows(workload: ClassifierWorkload) -> List[Tuple[str, Sequence[int
     (the bit layout *is* sorted name order), so union order — and hence
     the whole partition — is engine-identical.
     """
-    if active_engine() in MASK_ENGINES:
+    if active_engine() == "bits":
         compiled = workload.compiled()
         names = compiled.space.names
         return [(names[bit], row) for bit, row in enumerate(compiled.bit_queries)]

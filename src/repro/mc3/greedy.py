@@ -16,7 +16,7 @@ import heapq
 import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.bitset import MASK_ENGINES, QueryInterner, active_engine
+from repro.core.bitset import QueryInterner, active_engine
 from repro.core.coverage import CoverageTracker
 from repro.core.model import Classifier, ClassifierWorkload, Query
 from repro.mc3.errors import InfeasibleCoverError
@@ -175,7 +175,7 @@ def cheapest_residual_cover(
     ``bits`` engine reuse memoized masks across calls; pass it whenever a
     workload is in scope.
     """
-    if active_engine() in MASK_ENGINES:
+    if active_engine() == "bits":
         return _cheapest_residual_cover_bits(query, candidates, covered_props, compiled)
     missing = frozenset(query) - covered_props
     if not missing:
@@ -226,7 +226,7 @@ def solve_mc3_greedy(
     """
     targets = list(queries) if queries is not None else list(workload.queries)
     available_set = None if available is None else set(available)
-    compiled = workload.compiled() if active_engine() in MASK_ENGINES else None
+    compiled = workload.compiled() if active_engine() == "bits" else None
 
     # The shared coverage engine supplies per-query covered-property state;
     # target coverage and residual missing sets come from its indexes.

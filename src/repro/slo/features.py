@@ -12,8 +12,8 @@ size, plan-length histogram, shard count.  Two deliberate properties:
   predicted runtime is monotone in instance size — a bigger workload is
   never predicted to finish faster (see ``tests/test_slo.py``).
 - **Engine-free.**  The engine is a *store key*, not a feature: the same
-  instance compiles to very different kernels under ``sets``/``bits``/
-  ``matrix``, so observations are recorded per engine and a prediction
+  instance compiles to very different kernels under ``sets`` and
+  ``bits``, so observations are recorded per engine and a prediction
   only ever mixes observations from one engine.
 """
 

@@ -142,7 +142,7 @@ def wide_bcc_instances(
 ):
     """Wide-universe instances: hundreds of properties, short plans.
 
-    The matrix engine's target regime — and the shape the narrow
+    The shape of the paper's wide sweeps, which the narrow
     ``abcdefgh`` alphabet of :func:`bcc_instances` can never produce:
     each query draws most of its (short) property set from its own block
     of a large universe, so the compiled :class:`PropertySpace` spans
@@ -150,7 +150,7 @@ def wide_bcc_instances(
     few shared *hub* properties couple queries across blocks so coverage
     still interacts (otherwise every query is its own shard).  The
     query floor guarantees at least 65 distinct properties — every drawn
-    instance genuinely spans multiple ``uint64`` words.
+    instance genuinely spans multiple 64-bit words.
     """
     n_queries = draw(st.integers(min_queries, max_queries))
     query_list = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import gc
 import math
+import re
 import weakref
 
 import pytest
@@ -19,15 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BCCInstance, CoverageTracker, from_letters as fs
+from repro.core import bitset as bitset_module
 from repro.core.bitset import (
     _COMPILED,
-    _MATRIX,
     ENGINES,
     PropertySpace,
     QueryInterner,
     active_engine,
     compile_workload,
-    matrix_workload,
     use_engine,
 )
 from repro.core.coverage import (
@@ -70,9 +70,15 @@ class TestEngineSwitch:
                 pass
 
     def test_unknown_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "turbo")
-        with pytest.raises(ValueError):
-            active_engine()
+        # ``matrix`` is a retired engine name: it must fail like any unknown one.
+        registered = re.escape("('sets', 'bits')")
+        for name in ("turbo", "matrix"):
+            monkeypatch.setenv("REPRO_ENGINE", name)
+            with pytest.raises(ValueError, match=registered):
+                active_engine()
+            with pytest.raises(ValueError, match=registered):
+                with use_engine(name):
+                    pass
 
     def test_env_value_normalized(self, monkeypatch):
         monkeypatch.setenv("REPRO_ENGINE", "  SETS ")
@@ -140,23 +146,21 @@ class TestPropertySpace:
 
 
 class TestCompiledMemoLifetime:
-    """The weak-keyed compile memos free their entry with the workload.
+    """The weak-keyed compile memo frees its entry with the workload.
 
     A compiled view points back at its workload only weakly; a strong
     back-reference from the memo value to its own key would keep every
     entry alive for the life of the process.
     """
 
-    def test_compiled_and_matrix_entries_die_with_their_workload(self):
+    def test_compiled_entries_die_with_their_workload(self):
         instance = _fig1()
         compiled = weakref.ref(compile_workload(instance))
-        matrix = weakref.ref(matrix_workload(instance))
-        assert instance in _COMPILED and instance in _MATRIX
+        assert instance in _COMPILED
         del instance
         gc.collect()
-        # The memo held each value strongly, so a dead value is a dead entry.
+        # The memo held the value strongly, so a dead value is a dead entry.
         assert compiled() is None
-        assert matrix() is None
 
     def test_view_outliving_its_workload_reads_as_stale(self):
         instance = _fig1()
@@ -187,6 +191,31 @@ class TestContainingCacheBound:
                     for _ in range(50):
                         assert probe.queries_containing(junk) == ()
                 assert len(probe._containing_cache) <= bound
+
+
+class TestRowBitmapBound:
+    def test_row_bitmap_memo_never_exceeds_its_cap(self, monkeypatch):
+        """``CompiledWorkload._row_bitmaps`` clears wholesale at its cap."""
+        cap = 3
+        monkeypatch.setattr(bitset_module, "_ROW_BITMAP_CAP", cap)
+        instance = _fig1()
+        pool = sorted(instance.relevant_classifiers(), key=sorted)
+        assert len(pool) > 2 * cap
+        with use_engine("bits"):
+            tracker = CoverageTracker(instance)
+        reference = SetCoverageTracker(instance)
+        compiled = tracker._compiled
+        tracker._transpose()  # probes then run the row-bitmap kernel
+        sizes = []
+        for slate in [[c] for c in pool] + [pool[i : i + 2] for i in range(len(pool))]:
+            assert tracker.probe_gain(slate) == reference.probe_gain(slate)
+            sizes.append(len(compiled._row_bitmaps))
+        for classifier in pool:
+            cmask = compiled.mask_of(classifier)
+            rows = compiled.containing(cmask)
+            assert compiled.row_bitmap(cmask) == sum(1 << i for i in rows)
+            sizes.append(len(compiled._row_bitmaps))
+        assert max(sizes) == cap  # driven to the cap, never past it
 
 
 # ----------------------------------------------------------------------
@@ -372,6 +401,6 @@ class TestTrackerTraceDifferential:
         assert _snapshot(tracker, instance) == _snapshot(reference, instance)
 
 
-# The all-arm corpus differential (sets vs bits vs matrix) lives in
-# ``tests/test_engines.py`` — promoted there when the matrix engine
-# joined, together with the engine-parametrized tracker traces.
+# The all-arm corpus differential (sets vs bits) lives in
+# ``tests/test_engines.py``, together with the engine-parametrized
+# tracker traces.

@@ -171,9 +171,9 @@ def test_ecc_single_query():
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("solver", BCC_SOLVERS)
 def test_degenerate_shapes_engine_identical(solver, engine):
-    """Every backend — the matrix engine included — must survive the
-    degenerate catalogue and return the exact solution the ``sets``
-    reference does (zero budget, all-infinite costs, single query)."""
+    """Every backend must survive the degenerate catalogue and return the
+    exact solution the ``sets`` reference does (zero budget, all-infinite
+    costs, single query)."""
     catalogue = [
         BCCInstance(_queries(), _utilities(), _costs(1.0) | {fs("c"): 0.0}, budget=0.0),
         BCCInstance([fs("ab")], {fs("ab"): 5.0}, _costs(1.0), budget=10.0),

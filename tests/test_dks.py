@@ -217,6 +217,18 @@ class TestPortfolioMemo:
         assert portfolio.solve(g, 3) is three
         assert portfolio.solve(g, 5) is five
 
+    def test_memo_never_exceeds_its_cap(self, monkeypatch):
+        cap = 2
+        monkeypatch.setattr(HksPortfolio, "_MEMO_MAX", cap)
+        graphs = [random_graph(seed, n=10, p=0.5) for seed in range(5)]
+        expected = [HksPortfolio(seed=0).solve(g, 4) for g in graphs]
+        portfolio = HksPortfolio(seed=0)
+        sizes = []
+        for g, answer in zip(graphs * 2, expected * 2):
+            assert portfolio.solve(g, 4) == answer
+            sizes.append(len(portfolio._memo))
+        assert max(sizes) == cap  # driven to the cap, never past it
+
     def test_pickle_drops_memo_but_solves_identically(self):
         import pickle
 

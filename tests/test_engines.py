@@ -1,22 +1,21 @@
-"""Engine-identity suite: every backend against the ``sets`` reference.
+"""Engine-identity suite: the ``bits`` backend against the ``sets`` reference.
 
 Promoted from ``test_bitset.py`` (which keeps the bits-specific
-compilation-layer tests) and parametrized over all registered engines:
+compilation-layer tests) and parametrized over every non-reference
+engine in ``ENGINES``:
 
 - tracker trace differentials — add / probe / checkpoint / rollback /
   remove / reset traces must match the ``sets`` reference snapshot for
   snapshot, float for float;
 - checkpoint/rollback replay equivalence — a rolled-back tracker must be
   indistinguishable from one that never took the detour;
-- the batched slate-probe API (``probe_gain_batch``) — element ``i``
-  must be float-exact equal to ``probe_gain(slates[i])`` on every
-  backend, read-only under checkpoint/rollback interleaving, and
-  stale-safe after workload mutation;
+- incremental transpose maintenance — the live probe transpose must stay
+  identical to a cold rebuild under any mutation interleaving;
 - every solver arm registered in ``default_arms()`` on the seeded
   corpus, identical utilities/costs/selections across all engines.
 
-Wide-universe instances (hundreds of properties, short plans — the
-matrix engine's target regime) come from
+Wide-universe instances (hundreds of properties, short plans, so masks
+span several 64-bit words) come from
 :func:`tests.strategies.wide_bcc_instances`.
 """
 
@@ -28,22 +27,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.residual import ResidualProblem
 from repro.core import BCCInstance, CoverageTracker, from_letters as fs
-from repro.core.bitset import (
-    ENGINES,
-    MASK_ENGINES,
-    matrix_available,
-    matrix_workload,
-    use_engine,
-)
+from repro.core.bitset import ENGINES, compile_workload, use_engine
 from repro.core.coverage import (
     BitsetCoverageTracker,
-    MatrixCoverageTracker,
     SetCoverageTracker,
     covered_queries,
 )
-from repro.core.errors import StaleWorkloadError
 from repro.verify.corpus import corpus
 from repro.verify.differential import (
     _ecc_view,
@@ -83,7 +73,7 @@ def _snapshot(tracker, workload):
 
 
 def _clone(instance: BCCInstance) -> BCCInstance:
-    """A fresh instance (fresh compiled/matrix caches) with equal content."""
+    """A fresh instance (fresh compiled caches) with equal content."""
     return BCCInstance(
         list(instance.queries),
         {q: instance.utility(q) for q in instance.queries},
@@ -98,33 +88,24 @@ def _clone(instance: BCCInstance) -> BCCInstance:
 # dispatch
 # ----------------------------------------------------------------------
 class TestEngineDispatch:
-    def test_matrix_engine_is_registered(self):
-        assert "matrix" in ENGINES
-        assert set(MASK_ENGINES) == {"bits", "matrix"}
-        assert matrix_available()
-
     def test_tracker_dispatch_per_engine(self):
         instance = _fig1()
         with use_engine("sets"):
             assert not isinstance(CoverageTracker(instance), BitsetCoverageTracker)
         with use_engine("bits"):
-            assert type(CoverageTracker(instance)) is BitsetCoverageTracker
-        with use_engine("matrix"):
             tracker = CoverageTracker(instance)
-        assert type(tracker) is MatrixCoverageTracker
-        assert tracker.engine_name == "matrix"
-        # The matrix backend *is* a bits tracker plus numpy probe kernels.
-        assert isinstance(tracker, BitsetCoverageTracker)
+        assert type(tracker) is BitsetCoverageTracker
+        assert tracker.engine_name == "bits"
 
     @settings(max_examples=10, deadline=None)
     @given(instance=wide_bcc_instances())
     def test_wide_universe_spans_multiple_words(self, instance):
-        """The wide strategy must actually exercise multi-word masks."""
-        assert matrix_workload(instance).words >= 2
+        """The wide strategy must give ``bits`` masks wider than one word."""
+        assert len(compile_workload(instance).space) > 64
 
 
 # ----------------------------------------------------------------------
-# tracker trace differential, every mask engine vs the sets reference
+# tracker trace differential, every engine vs the sets reference
 # ----------------------------------------------------------------------
 class TestTrackerTraceDifferential:
     def _differential_trace(self, instance, engine):
@@ -142,7 +123,10 @@ class TestTrackerTraceDifferential:
         for classifier in pool[:4] + pool[:1]:
             assert reference.add(classifier) == candidate.add(classifier)
             check()
-        for slate in (pool[4:8], pool[:2], [frozenset()], []):
+        # ``* 3`` repeats one classifier within a slate, selected or not.
+        for slate in (
+            pool[4:8], pool[:2], pool[:1] * 3, pool[4:5] * 3, [frozenset()], []
+        ):
             assert reference.probe_gain(slate) == candidate.probe_gain(slate)
             check()
         for classifier in pool:
@@ -165,19 +149,19 @@ class TestTrackerTraceDifferential:
             tracker.reset()
         check()
 
-    @pytest.mark.parametrize("engine", MASK_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES[1:])
     @settings(max_examples=30, deadline=None)
     @given(instance=solvable_instances(max_queries=5))
     def test_identical_traces_dense(self, engine, instance):
         self._differential_trace(instance, engine)
 
-    @pytest.mark.parametrize("engine", MASK_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES[1:])
     @settings(max_examples=15, deadline=None)
     @given(instance=wide_bcc_instances())
     def test_identical_traces_wide(self, engine, instance):
         self._differential_trace(instance, engine)
 
-    @pytest.mark.parametrize("engine", MASK_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES[1:])
     @settings(max_examples=15, deadline=None)
     @given(instance=wide_bcc_instances())
     def test_rollback_replay_equivalence(self, engine, instance):
@@ -196,9 +180,6 @@ class TestTrackerTraceDifferential:
         # Post-rollback probes see no residue of the rolled-back adds.
         slate = pool[2 * split : 2 * split + 4]
         assert detoured.probe_gain(slate) == straight.probe_gain(slate)
-        assert detoured.probe_gain_batch([slate]) == straight.probe_gain_batch(
-            [slate]
-        )
 
     @pytest.mark.parametrize("engine", ENGINES)
     @settings(max_examples=10, deadline=None)
@@ -244,8 +225,7 @@ class TestIncrementalTranspose:
         with use_engine(engine):
             tracker = CoverageTracker(instance)
         # Force the one cold build: the heuristic may route short probes
-        # through row replay, and the matrix engine never builds the
-        # transpose on its own.
+        # through row replay, which never builds the transpose.
         tracker._transpose()
         baseline = tracker.transpose_rebuilds
         depth = 0
@@ -268,116 +248,17 @@ class TestIncrementalTranspose:
             self._check_against_cold(tracker)
         assert tracker.transpose_rebuilds == baseline
 
-    @pytest.mark.parametrize("engine", MASK_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES[1:])
     @settings(max_examples=25, deadline=None)
     @given(instance=solvable_instances(max_queries=5), seed=st.integers(0, 2**16))
     def test_matches_cold_rebuild_dense(self, engine, instance, seed):
         self._interleave(instance, engine, seed)
 
-    @pytest.mark.parametrize("engine", MASK_ENGINES)
+    @pytest.mark.parametrize("engine", ENGINES[1:])
     @settings(max_examples=10, deadline=None)
     @given(instance=wide_bcc_instances(), seed=st.integers(0, 2**16))
     def test_matches_cold_rebuild_wide(self, engine, instance, seed):
         self._interleave(instance, engine, seed, steps=25)
-
-
-# ----------------------------------------------------------------------
-# the batched slate-probe API
-# ----------------------------------------------------------------------
-def _slates(pool):
-    return [
-        pool[:3],
-        pool[3:9],
-        [],
-        [frozenset()],
-        pool[:1] * 3,  # duplicate classifier within one slate
-        pool[:3],  # duplicate slate within the batch
-        pool,
-    ]
-
-
-class TestProbeGainBatch:
-    @pytest.mark.parametrize("engine", ENGINES)
-    @settings(max_examples=20, deadline=None)
-    @given(instance=solvable_instances(max_queries=6))
-    def test_batch_equals_serial_dense(self, engine, instance):
-        with use_engine(engine):
-            tracker = CoverageTracker(instance)
-        pool = sorted(instance.relevant_classifiers(), key=sorted)
-        tracker.add_all(pool[:2])
-        slates = _slates(pool)
-        serial = [tracker.probe_gain(slate) for slate in slates]
-        before = _snapshot(tracker, instance)
-        assert tracker.probe_gain_batch(slates) == serial
-        assert _snapshot(tracker, instance) == before
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    @settings(max_examples=12, deadline=None)
-    @given(instance=wide_bcc_instances())
-    def test_batch_equals_serial_wide(self, engine, instance):
-        with use_engine(engine):
-            tracker = CoverageTracker(instance)
-        pool = sorted(instance.relevant_classifiers(), key=sorted)
-        tracker.add_all(pool[: len(pool) // 4])
-        slates = _slates(pool) + [pool[i : i + 5] for i in range(0, 30, 5)]
-        serial = [tracker.probe_gain(slate) for slate in slates]
-        assert tracker.probe_gain_batch(slates) == serial
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_interleaved_checkpoint_rollback(self, engine):
-        instance = _fig1()
-        with use_engine(engine):
-            tracker = CoverageTracker(instance)
-        slates = [[fs("xyz")], [fs("yz"), fs("x")], [fs("y"), fs("z")], []]
-        base = tracker.probe_gain_batch(slates)
-        assert base == [tracker.probe_gain(s) for s in slates]
-        tracker.checkpoint()
-        tracker.add(fs("yz"))
-        inside = tracker.probe_gain_batch(slates)
-        assert inside == [tracker.probe_gain(s) for s in slates]
-        tracker.rollback()
-        assert tracker.probe_gain_batch(slates) == base
-        tracker.add(fs("x"))
-        after = tracker.probe_gain_batch(slates)
-        assert after == [tracker.probe_gain(s) for s in slates]
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_empty_batch_and_rollback_telemetry(self, engine):
-        instance = _fig1()
-        with use_engine(engine):
-            tracker = CoverageTracker(instance)
-        assert tracker.probe_gain_batch([]) == []
-        before = tracker.rollbacks
-        tracker.probe_gain_batch([[fs("x")], [], [fs("y")]])
-        # A batch counts one rollback per slate, exactly like the serial
-        # sequence it must be float-identical to.
-        assert tracker.rollbacks == before + 3
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_batch_raises_on_stale_workload(self, engine):
-        with use_engine(engine):
-            instance = _fig1()
-            tracker = CoverageTracker(instance)
-            tracker.add(fs("yz"))
-            instance.set_cost(fs("x"), 1.0)
-            with pytest.raises(StaleWorkloadError):
-                tracker.probe_gain_batch([[fs("x")]])
-
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_residual_evaluate_gain_batch_matches_serial(self, engine):
-        with use_engine(engine):
-            instance = _fig1()
-            residual = ResidualProblem(instance)
-            residual.select([fs("yz")])
-            picks = [
-                frozenset({fs("x")}),
-                frozenset({fs("xz")}),
-                frozenset({fs("x"), fs("y")}),
-                frozenset(),
-                frozenset({fs("yz")}),  # already selected: zero cost
-            ]
-            serial = [residual.evaluate_gain(pick) for pick in picks]
-            assert residual.evaluate_gain_batch(picks) == serial
 
 
 # ----------------------------------------------------------------------
@@ -405,7 +286,7 @@ def _view_for(arm, instance):
 
 @pytest.mark.parametrize("arm,case", _arm_cases())
 def test_every_solver_arm_is_engine_identical(arm, case):
-    """All registered solver arms: sets vs bits vs matrix."""
+    """All registered solver arms: sets vs bits."""
     view = _view_for(arm, case.instance)
     if view is None:
         pytest.skip(f"{arm.name} not applicable to {case.name}")

@@ -19,6 +19,7 @@ from repro.core.errors import (
 from repro.datasets.fragmented import generate_fragmented
 from repro.decompose import ShardedConfig, partition_workload, solve_bcc_sharded
 from repro.decompose.solver import TINY_SHARD_QUERIES, effective_jobs
+from repro.incremental import engine as engine_module
 from repro.incremental import (
     DynamicPartition,
     IncrementalConfig,
@@ -33,7 +34,7 @@ from repro.verify.incremental import check_delta_stream, random_delta_stream
 from tests.strategies import bcc_instances, solvable_instances
 
 # The full registry — the mutation-safety and warm==cold differentials
-# below run under every backend, the matrix engine included.
+# below run under every backend.
 from repro.core.bitset import ENGINES
 
 
@@ -365,6 +366,27 @@ class TestIncrementalEngine:
         assert info["dirty_shards"] == 1
         assert info["reused_profiles"] == info["shards"] - 1
         assert info["solved_tasks"] == 1
+
+    def test_profile_store_never_exceeds_its_cap(self, monkeypatch):
+        # A cap below the partition width: the floor of two profiles per
+        # live shard takes over, and the LRU must evict to stay there.
+        monkeypatch.setattr(engine_module, "MAX_STORED_PROFILES", 1)
+        solver = IncrementalSolver(tiny_instance(budget=1e6), self.CFG)
+        solver.solve()
+        stored = set(solver._profiles)
+        for step in range(8):
+            victim = solver.instance.queries[step % len(solver.instance.queries)]
+            warm = solver.resolve_delta(
+                WorkloadDelta.of(utilities={victim: solver.instance.utility(victim) + 1.0})
+            )
+            shards = warm.meta["incremental"]["shards"]
+            assert solver._max_profiles == 2 * shards
+            assert len(solver._profiles) <= solver._max_profiles
+            stored.update(solver._profiles)
+            cold = IncrementalSolver(solver.instance.clone(), self.CFG).solve()
+            assert warm.classifiers == cold.classifiers
+            assert (warm.utility, warm.cost) == (cold.utility, cold.cost)
+        assert len(stored) > solver._max_profiles  # eviction really ran
 
     def test_functional_resolve_delta_with_adoption(self):
         instance = generate_fragmented(

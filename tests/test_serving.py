@@ -266,6 +266,15 @@ class TestFacadeBasics:
         assert response.error == "UnknownTenantError"
         assert facade.counters.errors == 1
 
+    def test_tenant_state_is_one_entry_per_registered_name(self, tmp_path):
+        facade = make_facade(tmp_path)
+        facade.register_tenant("acme", figure1_instance(4.0))
+        first = facade._tenants["acme"]
+        facade.register_tenant("acme", figure1_instance(11.0))
+        assert facade._tenants["acme"] is not first  # replaced, not stacked
+        serve(facade, [PlanRequest("acme"), PlanRequest("ghost")])
+        assert facade.tenants() == ["acme"]  # requests never add state
+
     def test_tenant_version_raises_for_unknown_tenants(self, tmp_path):
         facade = make_facade(tmp_path)
         with pytest.raises(UnknownTenantError):
