@@ -11,7 +11,6 @@ solution that reaches the target.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Set, Tuple

@@ -195,9 +195,9 @@ class CompiledWorkload:
     """A workload's queries, utilities and indexes as integer bitmasks.
 
     Built once per workload (see :func:`compile_workload`); translation
-    caches are append-only and bounded by the relevant-classifier count
-    (only property sets contained in some query — i.e. relevant
-    classifiers — are memoized, everything else is recomputed).
+    caches are append-only and hold only property sets over the
+    workload's own names (a set naming a foreign property is recomputed
+    on every ask).
     """
 
     def __init__(self, workload: "ClassifierWorkload") -> None:
@@ -227,9 +227,9 @@ class CompiledWorkload:
                 low = remaining & -remaining
                 self.bit_queries[low.bit_length() - 1].append(qidx)
                 remaining ^= low
-        # Translation caches (mask_of: propset → mask-or-None; props_of:
-        # mask → propset).  Query masks are pre-seeded.
-        self._mask_cache: Dict[PropertySet, Optional[int]] = dict(
+        # Translation caches (mask_of: propset → mask, never None;
+        # props_of: mask → propset).  Query masks are pre-seeded.
+        self._mask_cache: Dict[PropertySet, int] = dict(
             zip(self.queries, self.query_masks)
         )
         self._props_cache: Dict[int, PropertySet] = {
@@ -269,12 +269,18 @@ class CompiledWorkload:
     # translation
     # ------------------------------------------------------------------
     def mask_of(self, properties: PropertySet) -> Optional[int]:
-        """Memoized mask of a property set (``None`` for foreign names)."""
+        """Memoized mask of a property set (``None`` for foreign names).
+
+        Only masks are stored: a set naming a foreign property is
+        re-translated on every ask, so junk probes cannot grow the memo
+        (the non-empty-only rule of the ``containing`` memos).
+        """
         cached = self._mask_cache.get(properties)
-        if cached is not None or properties in self._mask_cache:
+        if cached is not None:
             return cached
         mask = self.space.mask_of(properties)
-        self._mask_cache[properties] = mask
+        if mask is not None:
+            self._mask_cache[properties] = mask
         return mask
 
     def props_of(self, mask: int) -> PropertySet:

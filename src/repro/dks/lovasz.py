@@ -79,10 +79,13 @@ def solve_lovasz(
         else:
             x = project_capped_simplex(npr.rand(n), k)
         prev_value = -np.inf
+        # One matvec per iteration: the W x that prices the objective at
+        # the new point is the next step's (super)gradient.
+        grad = W.dot(x)
         for _ in range(max_iters):
-            grad = W.dot(x)
             x = project_capped_simplex(x + eta * grad, k)
-            value = 0.5 * float(x @ W.dot(x))
+            grad = W.dot(x)
+            value = 0.5 * float(x @ grad)
             if value - prev_value < tol * max(1.0, abs(prev_value)):
                 break
             prev_value = value

@@ -12,7 +12,11 @@ The queue is int-indexed: nodes are ranked once by :func:`node_repr`, so
 heap entries are plain ``(degree, rank)`` pairs whose comparisons resolve
 ties exactly like the historical ``(degree, repr, node)`` tuples — the
 rank order *is* the repr order — while every push/pop compares two
-machine ints instead of two Python strings.
+machine ints instead of two Python strings.  Adjacency comes from the
+graph's shared :meth:`~repro.graphs.graph.WeightedGraph.dense_view`
+(swap polish builds it for the same graph), read through the rank
+permutation, so the rows — and every degree update — keep their
+neighbour order.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import heapq
 import random
 from typing import FrozenSet, Optional
 
-from repro.graphs.graph import Node, WeightedGraph, node_repr
+from repro.graphs.graph import Node, WeightedGraph
 
 
 def solve_peeling(
@@ -34,23 +38,24 @@ def solve_peeling(
     if n <= k:
         return frozenset(graph.nodes)
 
-    # Rank nodes by repr once; from here on the heap sees only ints.
-    ranked = sorted(graph.nodes, key=node_repr)
-    index_of = {u: i for i, u in enumerate(ranked)}
+    # Index i is the node's dense_view position; rank[i] its repr rank,
+    # and order[r] the index of rank r.  The heap sees only ints.
+    nodes, _, reprs, adj = graph.dense_view()
+    order = sorted(range(n), key=reprs.__getitem__)
+    rank = [0] * n
+    for r, i in enumerate(order):
+        rank[i] = r
     # Cached unrestricted totals: same per-node accumulation order as the
     # adjacency rows, so every float matches the dict-based version.
-    degree = [graph.weighted_degree(u) for u in ranked]
-    adj = [
-        [(index_of[v], w) for v, w in graph.neighbors(u).items()]
-        for u in ranked
-    ]
+    degree = [graph.weighted_degree(u) for u in nodes]
     alive = [True] * n
     alive_count = n
-    heap = [(degree[i], i) for i in range(n)]
+    heap = [(degree[i], r) for r, i in enumerate(order)]
     heapq.heapify(heap)
 
     while alive_count > k:
-        d, i = heapq.heappop(heap)
+        d, r = heapq.heappop(heap)
+        i = order[r]
         if not alive[i] or d > degree[i] + 1e-12:
             continue  # stale heap entry
         alive[i] = False
@@ -58,5 +63,5 @@ def solve_peeling(
         for j, w in adj[i]:
             if alive[j]:
                 degree[j] -= w
-                heapq.heappush(heap, (degree[j], j))
-    return frozenset(u for i, u in enumerate(ranked) if alive[i])
+                heapq.heappush(heap, (degree[j], rank[j]))
+    return frozenset(nodes[i] for i in order if alive[i])

@@ -29,7 +29,7 @@ maintenance logic.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Set, Tuple
 
 from repro.core.model import Classifier, ClassifierWorkload, Query
 from repro.decompose.partition import (

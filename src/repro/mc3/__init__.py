@@ -14,9 +14,10 @@ exact solver expresses it as a project-selection min-cut.  For ``l >= 3``
 (NP-hard) we provide a greedy minimal-cover heuristic.
 """
 
+from repro.mc3.errors import InfeasibleCoverError
 from repro.mc3.exact_l2 import solve_mc3_l2
 from repro.mc3.greedy import solve_mc3_greedy
-from repro.mc3.solver import InfeasibleCoverError, full_cover_cost, solve_mc3
+from repro.mc3.solver import full_cover_cost, solve_mc3
 
 __all__ = [
     "solve_mc3",

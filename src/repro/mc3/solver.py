@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable, Optional
 
 from repro.core.model import Classifier, ClassifierWorkload, Query
-from repro.mc3.errors import InfeasibleCoverError
 from repro.mc3.exact_l2 import solve_mc3_l2
 from repro.mc3.greedy import solve_mc3_greedy
 

@@ -4,7 +4,8 @@ One home for instance generation: bounded query length, optional zero and
 infinite costs, and raw duplicate-query streams that canonicalize through
 :func:`repro.verify.metamorphic.merge_duplicate_queries`.  Used by
 ``test_verify.py``, ``test_coverage_engine.py`` and ``test_schema_fuzz.py``
-instead of each hand-rolling its own generator.
+instead of each hand-rolling its own generator.  :func:`hks_graphs` draws
+the weighted graphs ``test_dks.py`` runs the HkS arms on.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from random import Random
 from hypothesis import strategies as st
 
 from repro.core import BCCInstance, powerset_classifiers
+from repro.graphs import WeightedGraph
 from repro.serving.requests import PlanRequest, ReplanRequest, WhatIfRequest
 from repro.serving.traffic import ServingTrace, TraceItem
 from repro.slo.features import features_from_counts
@@ -284,3 +286,42 @@ def solvable_instances(
     fraction = draw(st.floats(0.2, 0.8))
     budget = max(1.0, round(total * fraction))
     return BCCInstance(query_list, utilities, costs, budget=budget)
+
+
+@st.composite
+def hks_graphs(draw, max_nodes: int = 24):
+    """Weighted graphs for the HkS arm differentials.
+
+    Nodes are plain string names or blow-up copies ``(name, i)``, inserted
+    in a drawn order.  Weights come from a three-value set (ties
+    everywhere) or a continuous range.  Nodes fall into one to three
+    blocks with edges only inside a block, so graphs are often
+    disconnected, and density 0 makes them edgeless.
+    """
+    n = draw(st.integers(1, max_nodes))
+    if draw(st.booleans()):
+        names = [f"v{index}" for index in range(n)]
+    else:
+        copies = draw(st.integers(1, 4))
+        names = [(f"c{index // copies}", index % copies) for index in range(n)]
+    names = draw(st.permutations(names))
+    blocks = draw(st.integers(1, 3))
+    density = draw(st.sampled_from([0.0, 0.15, 0.4, 0.8]))
+    tied = draw(st.booleans())
+    rng = Random(draw(st.integers(0, 2**32 - 1)))
+    block_of = [rng.randrange(blocks) for _ in range(n)]
+    pairs = [
+        (i, j)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if block_of[i] == block_of[j]
+    ]
+    rng.shuffle(pairs)
+    graph = WeightedGraph()
+    for name in names:
+        graph.add_node(name, cost=1.0)
+    for i, j in pairs:
+        if rng.random() < density:
+            weight = rng.choice((0.5, 1.0, 2.0)) if tied else rng.uniform(0.01, 10.0)
+            graph.add_edge(names[i], names[j], weight)
+    return graph

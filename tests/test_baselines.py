@@ -1,8 +1,5 @@
 """Tests for the RAND / IG1 / IG2 baselines in all stopping modes."""
 
-import math
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

@@ -1,7 +1,5 @@
 """Tests for A^BCC (Algorithm 1) and its components."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

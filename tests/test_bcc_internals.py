@@ -3,16 +3,12 @@ MC3 improvement, swap polish)."""
 
 import math
 
-import pytest
-
 from repro.algorithms.bcc import (
     _SINGLETON_BONUS,
-    AbccConfig,
     _augment_with_singleton_bonus,
     _cover_greedy_pick,
     _mc3_improve,
     _swap_polish,
-    solve_bcc,
 )
 from repro.algorithms.residual import ResidualProblem
 from repro.core import BCCInstance, from_letters as fs

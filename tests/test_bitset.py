@@ -193,6 +193,25 @@ class TestContainingCacheBound:
                 assert len(probe._containing_cache) <= bound
 
 
+class TestMaskCacheBound:
+    def test_foreign_probes_do_not_grow_the_mask_memo(self):
+        """``CompiledWorkload._mask_cache`` stores masks, never ``None``."""
+        instance = _fig1()
+        with use_engine("bits"):
+            compiled = compile_workload(instance)
+            for classifier in instance.relevant_classifiers():
+                assert compiled.mask_of(classifier) is not None
+            settled = len(compiled._mask_cache)
+            for index in range(100):
+                junk = frozenset({f"junk{index}", "a"})
+                assert instance.queries_containing(junk) == ()
+                assert compiled.mask_of(junk) is None
+            assert len(compiled._mask_cache) == settled
+            assert None not in compiled._mask_cache.values()
+            for classifier in instance.relevant_classifiers():
+                assert compiled.props_of(compiled.mask_of(classifier)) == classifier
+
+
 class TestRowBitmapBound:
     def test_row_bitmap_memo_never_exceeds_its_cap(self, monkeypatch):
         """``CompiledWorkload._row_bitmaps`` clears wholesale at its cap."""

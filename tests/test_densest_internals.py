@@ -1,7 +1,5 @@
 """White-box tests for the densest-subgraph substrate internals."""
 
-import math
-
 import pytest
 
 from repro.densest.exact_flow import _best_for_ratio, _free_positive_subgraph

@@ -1,5 +1,7 @@
 """Tests for the DkS/HkS heuristic suite (repro.dks)."""
 
+import heapq
+import itertools
 import random
 
 import numpy as np
@@ -19,6 +21,9 @@ from repro.dks import (
     solve_spectral,
 )
 from repro.graphs import WeightedGraph
+from repro.graphs.graph import node_repr
+from repro.profile import PhaseProfiler, activate
+from tests.strategies import hks_graphs
 
 ALL_HEURISTICS = [solve_peeling, solve_expansion, solve_lovasz, solve_spectral]
 
@@ -238,3 +243,398 @@ class TestPortfolioMemo:
         clone = pickle.loads(pickle.dumps(portfolio))
         assert clone._memo == {}
         assert clone.solve(g, 4) == answer
+
+
+# ----------------------------------------------------------------------
+# Byte-identity differentials: each kernel against a test-local reference
+# (the bisection that sums with numpy at every step, the O(n) argmax
+# expansion, peeling on a private adjacency).
+# ----------------------------------------------------------------------
+
+
+def _bisection_projection(y, k, tol=1e-10):
+    """Capped-simplex projection deciding every bisection step by numpy sum."""
+    y = np.asarray(y, dtype=float)
+    n = y.size
+    if k == 0.0:
+        return np.zeros(n)
+    if k == float(n):
+        return np.ones(n)
+
+    def mass(tau):
+        return float(np.clip(y - tau, 0.0, 1.0).sum())
+
+    lo = float(y.min()) - 1.0
+    hi = float(y.max())
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mass(mid) > k:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < tol:
+            break
+    x = np.clip(y - 0.5 * (lo + hi), 0.0, 1.0)
+    residual = k - float(x.sum())
+    if abs(residual) > 0:
+        interior = (x > 0.0) & (x < 1.0)
+        if interior.any():
+            x[interior] += residual / int(interior.sum())
+            x = np.clip(x, 0.0, 1.0)
+    return x
+
+
+def _argmax_expansion(graph, k):
+    """Greedy expansion picking each node by an O(n) ``max`` scan."""
+    nodes = list(graph.nodes)
+    if len(nodes) <= k:
+        return frozenset(nodes)
+    best_edge = None
+    best_weight = -1.0
+    for u, v, w in graph.edges():
+        if w > best_weight:
+            best_weight = w
+            best_edge = (u, v)
+    if best_edge is None:
+        return frozenset(nodes[:k])
+    tie = {u: (graph.weighted_degree(u), node_repr(u)) for u in nodes}
+    if k == 1:
+        return frozenset({max(nodes, key=tie.__getitem__)})
+    selected = set(best_edge)
+    gain = {}
+    for u in selected:
+        for v, w in graph.neighbors(u).items():
+            if v not in selected:
+                gain[v] = gain.get(v, 0.0) + w
+    while len(selected) < k:
+        if gain:
+            candidate = max(gain, key=lambda u: (gain[u], tie[u]))
+        else:
+            outside = [u for u in nodes if u not in selected]
+            candidate = max(outside, key=tie.__getitem__)
+        selected.add(candidate)
+        gain.pop(candidate, None)
+        for v, w in graph.neighbors(candidate).items():
+            if v not in selected:
+                gain[v] = gain.get(v, 0.0) + w
+    return frozenset(selected)
+
+
+def _private_adjacency_peeling(graph, k):
+    """Peeling on its own repr-ranked adjacency lists."""
+    n = len(graph)
+    if n <= k:
+        return frozenset(graph.nodes)
+    ranked = sorted(graph.nodes, key=node_repr)
+    index_of = {u: i for i, u in enumerate(ranked)}
+    degree = [graph.weighted_degree(u) for u in ranked]
+    adj = [[(index_of[v], w) for v, w in graph.neighbors(u).items()] for u in ranked]
+    alive = [True] * n
+    alive_count = n
+    heap = [(degree[i], i) for i in range(n)]
+    heapq.heapify(heap)
+    while alive_count > k:
+        d, i = heapq.heappop(heap)
+        if not alive[i] or d > degree[i] + 1e-12:
+            continue
+        alive[i] = False
+        alive_count -= 1
+        for j, w in adj[i]:
+            if alive[j]:
+                degree[j] -= w
+                heapq.heappush(heap, (degree[j], j))
+    return frozenset(u for i, u in enumerate(ranked) if alive[i])
+
+
+#: Input shapes for the projection differential: ``integer`` makes the
+#: mass equal ``k`` on a whole interval of shifts, ``quarter`` ties
+#: coordinates, ``huge`` is past the range the estimate may be used in,
+#: ``nonfinite`` plants one ``nan``/``inf``/``-inf``.
+_Y_KINDS = ("uniform", "quarter", "integer", "large", "huge", "constant", "nonfinite")
+
+
+def _draw_y(kind, n, seed):
+    rs = np.random.RandomState(seed)
+    if kind == "uniform":
+        return rs.uniform(-1.0, 2.0, n)
+    if kind == "quarter":
+        return rs.randint(-8, 9, n) / 4.0
+    if kind == "integer":
+        return rs.randint(-3, 4, n).astype(float)
+    if kind == "large":
+        return rs.uniform(-1e6, 1e6, n)
+    if kind == "huge":
+        return rs.uniform(-1.0, 1.0, n) * 1.7e308
+    if kind == "constant":
+        return np.full(n, rs.uniform(-2.0, 2.0))
+    y = rs.uniform(-1.0, 2.0, n)
+    y[rs.randint(n)] = (np.nan, np.inf, -np.inf)[rs.randint(3)]
+    return y
+
+
+def _first_midpoint_mass(y):
+    """The numpy mass at the bisection's first midpoint.
+
+    Used as ``k``, it makes step one a tie that only the exact sum
+    resolves: the estimate may land an ulp either side of it.
+    """
+    mid = 0.5 * ((float(y.min()) - 1.0) + float(y.max()))
+    return float(np.clip(y - mid, 0.0, 1.0).sum())
+
+
+def _assert_same_projection(y, k):
+    with np.errstate(invalid="ignore", over="ignore"):
+        expected = _bisection_projection(y, k)
+        actual = project_capped_simplex(y, k)
+    # Bytes, not values: a -0.0/0.0 flip or a different nan payload fails.
+    assert actual.tobytes() == expected.tobytes()
+
+
+class TestProjectionMatchesBisection:
+    @given(
+        n=st.integers(1, 300),
+        kind=st.sampled_from(_Y_KINDS),
+        seed=st.integers(0, 2**31 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_vectors(self, n, kind, seed, data):
+        twice_k = data.draw(st.integers(0, 2 * n))
+        k = twice_k // 2 if twice_k % 2 == 0 else twice_k / 2.0
+        _assert_same_projection(_draw_y(kind, n, seed), k)
+
+    @given(n=st.integers(2, 300), seed=st.integers(0, 2**31 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_ties_at_the_first_midpoint(self, n, seed):
+        y = _draw_y("uniform", n, seed)
+        _assert_same_projection(y, _first_midpoint_mass(y))
+
+    @given(n=st.integers(2, 8), seed=st.integers(0, 2**31 - 1), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_overflow_range_vectors(self, n, seed, data):
+        # Prefix sums near the float limit overflow, so the estimate
+        # must not decide these steps.
+        k = data.draw(st.integers(1, n - 1))
+        _assert_same_projection(_draw_y("huge", n, seed), k)
+
+    @pytest.mark.parametrize("n", [8, 900, 3377])
+    @pytest.mark.parametrize("kind", _Y_KINDS)
+    def test_fixed_sizes(self, n, kind):
+        for seed, k in enumerate((1, n // 3, n // 2 + 0.5, n - 1)):
+            _assert_same_projection(_draw_y(kind, n, seed), k)
+        if kind not in ("huge", "nonfinite"):
+            y = _draw_y(kind, n, 7)
+            k = _first_midpoint_mass(y)
+            if 0.0 < k < n:
+                _assert_same_projection(y, k)
+
+    def test_nonfinite_input_sums_every_step(self):
+        prof = PhaseProfiler()
+        with activate(prof), np.errstate(invalid="ignore"):
+            project_capped_simplex(np.array([0.2, np.nan, 0.7, 1.5]), 2)
+            project_capped_simplex(np.array([0.2, np.inf, 0.7, 1.5]), 2)
+        assert prof.counts["projection_steps"] > 0
+        assert prof.counts["projection_exact"] == prof.counts["projection_steps"]
+
+
+class TestCombinatorialArmsMatchReference:
+    @given(graph=hks_graphs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_expansion_matches_argmax_scan(self, graph, data):
+        k = data.draw(st.integers(1, len(graph)))
+        assert solve_expansion(graph, k) == _argmax_expansion(graph, k)
+
+    @given(graph=hks_graphs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_peeling_matches_private_adjacency(self, graph, data):
+        k = data.draw(st.integers(1, len(graph)))
+        graph.dense_view()  # a warm shared snapshot must not change the answer
+        assert solve_peeling(graph, k) == _private_adjacency_peeling(graph, k)
+
+
+def _pinned_graph(seed, n):
+    """Sparse integer-weighted graph with a planted heavy group.
+
+    Integer weights keep every float sum exact, so the pinned answers do
+    not depend on how a Python version rounds ``sum``.
+    """
+    rng = random.Random(seed)
+    g = WeightedGraph()
+    for i in range(n):
+        g.add_node(i, cost=1.0)
+    group = rng.sample(range(n), max(3, n // 20))
+    for a, b in itertools.combinations(group, 2):
+        if rng.random() < 0.6:
+            g.add_edge(a, b, rng.randint(3, 9))
+    for _ in range(2 * n):
+        u, v = rng.sample(range(n), 2)
+        g.add_edge(u, v, rng.randint(1, 4))
+    return g
+
+
+#: (seed, n, k, solve_lovasz answer, HksPortfolio(seed).solve answer),
+#: recorded with the plain kernels: a numpy sum at every bisection step,
+#: two matvecs per ascent step, the argmax expansion and peeling on a
+#: private adjacency.
+_PINNED = [
+    (
+        0, 8, 3,
+        (3, 6, 7),
+        (3, 6, 7),
+    ),
+    (
+        1, 8, 5,
+        (0, 2, 3, 4, 6),
+        (0, 2, 3, 4, 6),
+    ),
+    (
+        2, 12, 4,
+        (4, 7, 8, 11),
+        (4, 7, 8, 11),
+    ),
+    (
+        3, 16, 6,
+        (6, 7, 8, 9, 11, 13),
+        (6, 7, 8, 9, 13, 15),
+    ),
+    (
+        4, 20, 5,
+        (3, 6, 9, 10, 13),
+        (3, 5, 7, 9, 10),
+    ),
+    (
+        5, 30, 8,
+        (2, 4, 8, 9, 19, 21, 26, 29),
+        (2, 4, 8, 9, 19, 21, 26, 29),
+    ),
+    (
+        6, 40, 10,
+        (5, 10, 12, 16, 17, 26, 28, 32, 38, 39),
+        (5, 10, 12, 16, 17, 26, 28, 32, 38, 39),
+    ),
+    (
+        7, 60, 12,
+        (5, 6, 9, 14, 20, 25, 35, 36, 37, 40, 48, 58),
+        (5, 6, 9, 15, 16, 20, 25, 34, 35, 47, 49, 51),
+    ),
+    (
+        8, 80, 16,
+        (16, 17, 19, 27, 29, 40, 47, 48, 60, 62, 64, 72, 73, 74, 76, 77),
+        (16, 17, 19, 27, 29, 40, 47, 48, 60, 62, 64, 72, 73, 74, 76, 77),
+    ),
+    (
+        9, 100, 20,
+        (1, 6, 7, 10, 17, 18, 22, 25, 31, 34, 36, 42, 47, 58, 59, 68, 78, 81, 85, 94),
+        (1, 6, 7, 17, 18, 25, 29, 31, 32, 34, 36, 47, 58, 59, 60, 68, 78, 81, 85, 94),
+    ),
+    (
+        10, 150, 15,
+        (3, 8, 9, 18, 19, 50, 52, 92, 101, 109, 116, 123, 144, 146, 147),
+        (3, 8, 19, 52, 76, 92, 102, 109, 116, 118, 123, 125, 143, 146, 147),
+    ),
+    (
+        11, 200, 25,
+        (
+            19, 31, 40, 47, 48, 51, 53, 63, 72, 79, 91, 93, 99, 115, 118, 119, 121, 130, 131, 134,
+            143, 150, 153, 175, 199,
+        ),
+        (
+            19, 31, 40, 46, 47, 48, 51, 63, 72, 91, 93, 99, 113, 115, 118, 119, 121, 130, 131, 134,
+            143, 150, 168, 175, 199,
+        ),
+    ),
+    (
+        12, 300, 30,
+        (
+            0, 5, 10, 11, 55, 73, 74, 82, 102, 112, 113, 116, 128, 136, 137, 140, 172, 179, 191,
+            195, 200, 218, 235, 242, 247, 254, 270, 281, 285, 287,
+        ),
+        (
+            0, 5, 10, 11, 55, 73, 74, 82, 102, 112, 113, 116, 128, 136, 137, 140, 172, 179, 191,
+            195, 200, 218, 235, 242, 247, 254, 270, 281, 285, 287,
+        ),
+    ),
+    (
+        13, 400, 20,
+        (
+            15, 36, 64, 66, 75, 95, 109, 115, 118, 132, 148, 150, 220, 272, 328, 333, 341, 350, 375,
+            381,
+        ),
+        (
+            15, 36, 64, 66, 75, 95, 109, 115, 118, 132, 148, 150, 220, 272, 328, 333, 341, 350, 375,
+            381,
+        ),
+    ),
+    (
+        14, 500, 40,
+        (
+            6, 22, 36, 37, 42, 54, 60, 66, 126, 130, 131, 138, 149, 155, 201, 202, 203, 230, 234,
+            238, 257, 264, 269, 293, 300, 315, 333, 337, 350, 357, 359, 375, 376, 385, 386, 398,
+            446, 465, 481, 487,
+        ),
+        (
+            6, 36, 37, 54, 60, 66, 126, 130, 131, 138, 149, 155, 186, 189, 201, 202, 203, 230, 234,
+            238, 252, 269, 292, 293, 300, 315, 333, 337, 350, 359, 375, 376, 385, 386, 398, 417,
+            446, 457, 465, 481,
+        ),
+    ),
+    (
+        15, 600, 30,
+        (
+            11, 17, 37, 56, 119, 150, 161, 211, 213, 228, 234, 236, 244, 245, 269, 287, 312, 320,
+            346, 352, 363, 364, 376, 401, 430, 466, 477, 523, 533, 591,
+        ),
+        (
+            11, 17, 37, 56, 119, 150, 161, 211, 213, 228, 234, 236, 244, 245, 269, 287, 312, 320,
+            346, 352, 363, 364, 376, 401, 430, 466, 477, 523, 533, 591,
+        ),
+    ),
+    (
+        16, 700, 35,
+        (
+            5, 10, 20, 22, 28, 145, 157, 225, 227, 232, 243, 259, 265, 291, 303, 309, 317, 343, 370,
+            419, 426, 457, 467, 475, 480, 492, 613, 616, 617, 620, 646, 650, 673, 682, 683,
+        ),
+        (
+            5, 10, 20, 22, 28, 145, 157, 225, 227, 232, 243, 259, 265, 291, 303, 309, 317, 343, 370,
+            419, 426, 457, 467, 475, 480, 492, 613, 616, 617, 620, 646, 650, 673, 682, 683,
+        ),
+    ),
+    (
+        17, 800, 24,
+        (
+            126, 140, 143, 154, 215, 254, 284, 310, 325, 338, 411, 424, 429, 513, 534, 552, 564,
+            572, 677, 700, 721, 722, 732, 784,
+        ),
+        (
+            126, 140, 143, 154, 215, 254, 258, 284, 296, 310, 374, 393, 411, 424, 429, 513, 534,
+            552, 572, 677, 700, 721, 722, 732,
+        ),
+    ),
+    (
+        18, 900, 45,
+        (
+            120, 125, 173, 178, 185, 187, 200, 202, 205, 206, 221, 240, 243, 245, 259, 270, 271,
+            302, 306, 332, 342, 374, 459, 469, 491, 501, 505, 519, 534, 589, 643, 677, 691, 693,
+            708, 733, 752, 774, 780, 806, 829, 830, 855, 886, 894,
+        ),
+        (
+            120, 125, 173, 178, 185, 187, 200, 202, 205, 206, 221, 240, 243, 245, 259, 270, 271,
+            302, 306, 332, 342, 374, 459, 469, 491, 501, 505, 519, 534, 589, 643, 677, 691, 693,
+            708, 733, 752, 774, 780, 806, 829, 830, 855, 886, 894,
+        ),
+    ),
+    (
+        19, 900, 18,
+        (44, 72, 75, 123, 151, 206, 274, 335, 402, 421, 424, 433, 532, 555, 592, 609, 745, 886),
+        (44, 72, 75, 123, 151, 206, 274, 335, 402, 421, 424, 433, 532, 555, 592, 609, 745, 886),
+    ),
+]
+
+
+class TestPinnedAnswers:
+    @pytest.mark.parametrize("seed,n,k,lovasz,portfolio", _PINNED)
+    def test_lovasz_and_portfolio(self, seed, n, k, lovasz, portfolio):
+        graph = _pinned_graph(seed, n)
+        assert solve_lovasz(graph, k, random.Random(seed)) == frozenset(lovasz)
+        assert HksPortfolio(seed=seed).solve(graph, k) == frozenset(portfolio)

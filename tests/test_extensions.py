@@ -1,7 +1,6 @@
 """Tests for the future-work extensions (partial covers, shared costs)."""
 
 import itertools
-import math
 import random
 
 import pytest

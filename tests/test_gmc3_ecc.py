@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import Gmc3Config, solve_ecc, solve_gmc3
+from repro.algorithms import solve_ecc, solve_gmc3
 from repro.core import (
     ECCInstance,
     GMC3Instance,

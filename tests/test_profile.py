@@ -152,3 +152,24 @@ class TestSolveBccIntegration:
         assert profiled.classifiers == plain.classifiers
         assert profiled.utility == plain.utility
         assert profiled.cost == plain.cost
+
+
+class TestProjectionCounterGate:
+    def test_bisection_rarely_falls_back_to_the_numpy_sum(self, monkeypatch):
+        """Counter gate on the Lovász arm's capped-simplex projection.
+
+        Most bisection steps are decided by the sorted-prefix-sum estimate;
+        only steps inside its error band run the O(n) numpy sum.  A fixed
+        seeded solve reads about 1 exact sum per 75 steps, so a bound
+        breaking into the band on every step fails this by a wide margin.
+        """
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        from repro.algorithms.bcc import solve_bcc
+        from repro.datasets.synthetic import generate_synthetic
+        from repro.mc3 import full_cover_cost
+
+        instance = generate_synthetic(60, 40, seed=0)
+        instance = instance.with_budget(0.3 * full_cover_cost(instance))
+        counts = solve_bcc(instance).meta["profile"]["counts"]
+        assert counts["projection_steps"] > 0
+        assert counts["projection_exact"] <= 0.15 * counts["projection_steps"]

@@ -1,6 +1,5 @@
 """Tests for the QK solvers (repro.qk)."""
 
-import math
 import random
 
 import pytest

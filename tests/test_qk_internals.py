@@ -1,9 +1,6 @@
 """White-box tests for A_H^QK internals (scaling, refill, bonuses)."""
 
-import math
 import random
-
-import pytest
 
 from repro.graphs import WeightedGraph
 from repro.qk.heuristic import (

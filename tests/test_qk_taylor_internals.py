@@ -1,8 +1,5 @@
 """White-box tests for the A_T^QK worst-case algorithm internals."""
 
-import pytest
-
-from repro.dks.portfolio import HksPortfolio
 from repro.graphs import WeightedGraph
 from repro.qk.taylor import (
     _class_subgraph,

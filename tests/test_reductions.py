@@ -1,7 +1,6 @@
 """Objective-equality tests for the executable hardness reductions."""
 
 import itertools
-import math
 import random
 
 import pytest

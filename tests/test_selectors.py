@@ -2,8 +2,6 @@
 
 import math
 
-import pytest
-
 from repro.baselines.selectors import IG1Selector, IG2Selector, RandomSelector
 from repro.core import BCCInstance, from_letters as fs
 

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from repro.simulation import (
-    Catalog,
     CatalogConfig,
     LearningCurve,
     SearchEngine,
