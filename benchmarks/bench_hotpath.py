@@ -1,4 +1,4 @@
-"""Hot-path benchmark: incremental transpose + portfolio kernels vs legacy.
+"""Hot-path benchmark: incremental transpose + graph builds vs legacy.
 
 Times this PR's two measured hot paths against faithful re-creations of
 the pre-PR code, asserting byte-identical answers on every compared arm:
@@ -12,11 +12,11 @@ the pre-PR code, asserting byte-identical answers on every compared arm:
   maintenance now avoids.  Identical gain sequences and final rebuild
   counters are recorded for both arms.
 - ``end_to_end`` — ``solve_bcc`` on the wide 950-property shape PR 4
-  recorded at 0.97x.  The legacy arm stacks every pre-PR behavior: the
-  invalidate-always tracker, the string-tuple peeling heap, the
-  per-comparison expansion tiebreaks, the dict-based swap local search,
-  an always-miss portfolio memo, and the per-edge QK graph builds.
-  Solutions must be byte-identical per seed; the current arm's
+  recorded at 0.97x.  The legacy arm stacks the invalidate-always
+  tracker and the per-edge QK graph builds.  (The DkS kernel copies it
+  once carried read the retired dict-based blow-up graph; each kernel's
+  reference now lives in ``tests/test_dks.py``.)  Solutions must be
+  byte-identical per seed; the current arm's
   ``transpose_rebuilds`` telemetry (the A^BCC picks loop) is recorded —
   the perf-smoke CI job gates on that counter, not on wall-clock.
   Every timed current-arm solve is also appended to ``arm_observations``
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import heapq
 import json
 import random
 import sys
@@ -51,15 +50,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-import repro.dks.lovasz as lovasz_mod
-import repro.dks.portfolio as portfolio_mod
-import repro.dks.spectral as spectral_mod
 from repro.algorithms.bcc import AbccConfig, solve_bcc
 from repro.core.bitset import use_engine
 from repro.core.coverage import BitsetCoverageTracker, CoverageTracker
 from repro.datasets.synthetic import generate_synthetic
-from repro.dks.portfolio import HksPortfolio
-from repro.graphs.graph import WeightedGraph, edge_key, node_repr
+from repro.graphs.graph import WeightedGraph, edge_key
 from repro.qk import QKConfig
 from repro.slo.features import instance_features
 
@@ -162,107 +157,6 @@ def legacy_invalidate_always():
         cls.add, cls._undo_one, cls.remove = orig_add, orig_undo, orig_remove
 
 
-def _legacy_solve_peeling(graph, k, rng=None):
-    """The pre-PR peeling kernel: string-tuple lazy heap over node dicts."""
-    if k <= 0:
-        return frozenset()
-    alive = set(graph.nodes)
-    if len(alive) <= k:
-        return frozenset(alive)
-    degree = {u: graph.weighted_degree(u) for u in alive}
-    heap = [(d, node_repr(u), u) for u, d in degree.items()]
-    heapq.heapify(heap)
-    while len(alive) > k:
-        d, _, u = heapq.heappop(heap)
-        if u not in alive or d > degree[u] + 1e-12:
-            continue
-        alive.discard(u)
-        for v, w in graph.neighbors(u).items():
-            if v in alive:
-                degree[v] -= w
-                heapq.heappush(heap, (degree[v], node_repr(v), v))
-    return frozenset(alive)
-
-
-def _legacy_improve_by_swaps(graph, selection, max_passes=50):
-    """The pre-PR swap polish: per-pass dict scans, no dense gain rows."""
-    selected = set(selection)
-    if not selected or len(selected) >= len(graph):
-        return frozenset(selected)
-    inside_degree = {
-        u: graph.weighted_degree(u, within=selected) for u in graph.nodes
-    }
-    for _ in range(max_passes):
-        worst = min(selected, key=lambda u: (inside_degree[u], node_repr(u)))
-        best_gain = inside_degree[worst]
-        best_candidate = None
-        worst_nbrs = graph.neighbors(worst)
-        for v in graph.nodes:
-            if v in selected:
-                continue
-            gain = inside_degree[v] - worst_nbrs.get(v, 0.0)
-            if gain > best_gain + 1e-12:
-                best_gain = gain
-                best_candidate = v
-        if best_candidate is None:
-            break
-        selected.discard(worst)
-        for v, w in worst_nbrs.items():
-            inside_degree[v] -= w
-        selected.add(best_candidate)
-        for v, w in graph.neighbors(best_candidate).items():
-            inside_degree[v] += w
-    return frozenset(selected)
-
-
-def _legacy_solve_expansion(graph, k, rng=None):
-    """The pre-PR expansion kernel: per-comparison degree/repr tiebreaks."""
-    if k <= 0:
-        return frozenset()
-    nodes = list(graph.nodes)
-    if len(nodes) <= k:
-        return frozenset(nodes)
-    best_edge = None
-    best_weight = -1.0
-    for u, v, w in graph.edges():
-        if w > best_weight:
-            best_weight = w
-            best_edge = (u, v)
-    if best_edge is None:
-        return frozenset(nodes[:k])
-    if k == 1:
-        top = max(nodes, key=lambda u: (graph.weighted_degree(u), node_repr(u)))
-        return frozenset({top})
-    selected = set(best_edge)
-    gain = {}
-    for u in selected:
-        for v, w in graph.neighbors(u).items():
-            if v not in selected:
-                gain[v] = gain.get(v, 0.0) + w
-    while len(selected) < k:
-        if gain:
-            candidate = max(
-                gain,
-                key=lambda u: (gain[u], graph.weighted_degree(u), node_repr(u)),
-            )
-        else:
-            outside = [u for u in nodes if u not in selected]
-            candidate = max(
-                outside, key=lambda u: (graph.weighted_degree(u), node_repr(u))
-            )
-        selected.add(candidate)
-        gain.pop(candidate, None)
-        for v, w in graph.neighbors(candidate).items():
-            if v not in selected:
-                gain[v] = gain.get(v, 0.0) + w
-    return frozenset(selected)
-
-
-def _never_memo_key(self, graph, k):
-    """Always-miss memo key: each call returns a fresh, unequal object."""
-    return object()
-
-
 def _legacy_edges(self):
     """The pre-PR edges() snapshot build: edge_key per encountered edge."""
     cached = self._edge_list
@@ -298,43 +192,13 @@ def legacy_graph_construction():
 
 
 @contextmanager
-def legacy_kernels():
-    """Swap the pre-PR DkS kernels and memo-less portfolio back in."""
-    saved = (
-        portfolio_mod.ENGINES["peeling"],
-        portfolio_mod.ENGINES["expansion"],
-        portfolio_mod.improve_by_swaps,
-        spectral_mod.improve_by_swaps,
-        lovasz_mod.improve_by_swaps,
-        HksPortfolio._memo_key,
-    )
-    portfolio_mod.ENGINES["peeling"] = _legacy_solve_peeling
-    portfolio_mod.ENGINES["expansion"] = _legacy_solve_expansion
-    portfolio_mod.improve_by_swaps = _legacy_improve_by_swaps
-    spectral_mod.improve_by_swaps = _legacy_improve_by_swaps
-    lovasz_mod.improve_by_swaps = _legacy_improve_by_swaps
-    HksPortfolio._memo_key = _never_memo_key
-    try:
-        yield
-    finally:
-        (
-            portfolio_mod.ENGINES["peeling"],
-            portfolio_mod.ENGINES["expansion"],
-            portfolio_mod.improve_by_swaps,
-            spectral_mod.improve_by_swaps,
-            lovasz_mod.improve_by_swaps,
-            HksPortfolio._memo_key,
-        ) = saved
-
-
-@contextmanager
 def _current():
     yield
 
 
 @contextmanager
 def _legacy_all():
-    with legacy_invalidate_always(), legacy_kernels(), legacy_graph_construction():
+    with legacy_invalidate_always(), legacy_graph_construction():
         yield
 
 
@@ -499,8 +363,7 @@ def run_bench(spec: dict) -> dict:
         "timer": "process_time, gc disabled (CPU seconds, min over repeats)",
         "baseline": (
             "legacy arm = pre-PR code: invalidate-always transpose, "
-            "string-tuple peeling heap, per-comparison expansion tiebreaks, "
-            "dict swap search, memo-less portfolio, per-edge graph builds"
+            "per-edge graph builds"
         ),
         "micro_probe": _probe_micro(spec["micro_probe"]),
         "end_to_end": e2e,

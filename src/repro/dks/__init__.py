@@ -14,9 +14,10 @@ from-scratch portfolio of HkS heuristics:
 - :mod:`repro.dks.exact` — exhaustive/branch-and-bound oracle for tests.
 - :mod:`repro.dks.portfolio` — best-of composite (the default engine).
 
-All solvers share the signature ``solve(graph, k, rng=None) -> frozenset``:
-they ignore node costs and maximize the total edge weight induced by at most
-``k`` nodes.
+The heuristics share the signature ``solve(graph, k, rng=None) -> frozenset``
+over an :class:`~repro.graphs.indexed.IndexedGraph` snapshot (the exact
+oracle takes a :class:`~repro.graphs.graph.WeightedGraph`): they maximize
+the total edge weight induced by at most ``k`` nodes.
 """
 
 from repro.dks.peeling import solve_peeling

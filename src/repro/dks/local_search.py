@@ -19,11 +19,12 @@ from __future__ import annotations
 
 from typing import FrozenSet, Iterable
 
-from repro.graphs.graph import Node, WeightedGraph
+from repro.graphs.graph import Node
+from repro.graphs.indexed import IndexedGraph
 
 
 def improve_by_swaps(
-    graph: WeightedGraph,
+    graph: IndexedGraph,
     selection: Iterable[Node],
     max_passes: int = 50,
 ) -> FrozenSet[Node]:
@@ -32,9 +33,7 @@ def improve_by_swaps(
     if not chosen or len(chosen) >= len(graph):
         return frozenset(chosen)
 
-    # Shared indexed snapshot: every polish against this graph (portfolio
-    # arms, Lovász restarts) reuses one O(n + m) build.
-    nodes, _, reprs, adj = graph.dense_view()
+    nodes, reprs, adj = graph.nodes, graph.reprs, graph.adj
     n = len(nodes)
     in_selected = [u in chosen for u in nodes]
     selected_idx = {i for i in range(n) if in_selected[i]}

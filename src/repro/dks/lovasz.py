@@ -14,36 +14,18 @@ Frank-Wolfe scheme of [41] while remaining dependency-light.
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, List, Optional
+from typing import FrozenSet, Optional
 
 import numpy as np
 
 from repro.dks.local_search import improve_by_swaps
 from repro.dks.projection import project_capped_simplex, top_k_indices
-from repro.graphs.graph import Node, WeightedGraph
-
-
-def _adjacency(graph: WeightedGraph) -> "tuple[list, dict, object]":
-    """Index nodes and build a sparse adjacency operator."""
-    from scipy.sparse import coo_matrix
-
-    nodes = list(graph.nodes)
-    index = {u: i for i, u in enumerate(nodes)}
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    for u, v, w in graph.edges():
-        iu, iv = index[u], index[v]
-        rows.extend((iu, iv))
-        cols.extend((iv, iu))
-        vals.extend((w, w))
-    n = len(nodes)
-    matrix = coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-    return nodes, index, matrix
+from repro.graphs.graph import Node
+from repro.graphs.indexed import IndexedGraph
 
 
 def solve_lovasz(
-    graph: WeightedGraph,
+    graph: IndexedGraph,
     k: int,
     rng: Optional[random.Random] = None,
     restarts: int = 3,
@@ -53,15 +35,15 @@ def solve_lovasz(
     """HkS via projected supergradient ascent on the quadratic relaxation."""
     if k <= 0:
         return frozenset()
-    nodes = list(graph.nodes)
+    nodes = graph.nodes
     n = len(nodes)
     if n <= k:
         return frozenset(nodes)
-    if graph.num_edges() == 0:
+    if not any(graph.adj):
         return frozenset(nodes[:k])
     rng = rng or random.Random(0)
 
-    node_list, _, W = _adjacency(graph)
+    W = graph.matrix()
     npr = np.random.RandomState(rng.randrange(2**31 - 1))
 
     # Lipschitz-style step size from the largest row sum of W.
@@ -89,7 +71,7 @@ def solve_lovasz(
             if value - prev_value < tol * max(1.0, abs(prev_value)):
                 break
             prev_value = value
-        chosen = frozenset(node_list[i] for i in top_k_indices(x, k))
+        chosen = frozenset(nodes[i] for i in top_k_indices(x, k))
         chosen = improve_by_swaps(graph, chosen)
         weight = graph.induced_weight(chosen)
         if weight > best_weight:

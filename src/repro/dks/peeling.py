@@ -12,11 +12,10 @@ The queue is int-indexed: nodes are ranked once by :func:`node_repr`, so
 heap entries are plain ``(degree, rank)`` pairs whose comparisons resolve
 ties exactly like the historical ``(degree, repr, node)`` tuples — the
 rank order *is* the repr order — while every push/pop compares two
-machine ints instead of two Python strings.  Adjacency comes from the
-graph's shared :meth:`~repro.graphs.graph.WeightedGraph.dense_view`
-(swap polish builds it for the same graph), read through the rank
-permutation, so the rows — and every degree update — keep their
-neighbour order.
+machine ints instead of two Python strings.  Adjacency and degrees come
+from the :class:`~repro.graphs.indexed.IndexedGraph` snapshot, read
+through the rank permutation, so the rows — and every degree update —
+keep their neighbour order.
 """
 
 from __future__ import annotations
@@ -25,11 +24,12 @@ import heapq
 import random
 from typing import FrozenSet, Optional
 
-from repro.graphs.graph import Node, WeightedGraph
+from repro.graphs.graph import Node
+from repro.graphs.indexed import IndexedGraph
 
 
 def solve_peeling(
-    graph: WeightedGraph, k: int, rng: Optional[random.Random] = None
+    graph: IndexedGraph, k: int, rng: Optional[random.Random] = None
 ) -> FrozenSet[Node]:
     """Heaviest-k-subgraph by greedy min-weighted-degree peeling."""
     if k <= 0:
@@ -38,16 +38,14 @@ def solve_peeling(
     if n <= k:
         return frozenset(graph.nodes)
 
-    # Index i is the node's dense_view position; rank[i] its repr rank,
+    # Index i is the node's snapshot position; rank[i] its repr rank,
     # and order[r] the index of rank r.  The heap sees only ints.
-    nodes, _, reprs, adj = graph.dense_view()
+    nodes, reprs, adj = graph.nodes, graph.reprs, graph.adj
     order = sorted(range(n), key=reprs.__getitem__)
     rank = [0] * n
     for r, i in enumerate(order):
         rank[i] = r
-    # Cached unrestricted totals: same per-node accumulation order as the
-    # adjacency rows, so every float matches the dict-based version.
-    degree = [graph.weighted_degree(u) for u in nodes]
+    degree = list(graph.degrees)
     alive = [True] * n
     alive_count = n
     heap = [(degree[i], r) for r, i in enumerate(order)]

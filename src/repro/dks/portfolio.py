@@ -14,13 +14,18 @@ serial behavior: no engine ahead of the Lovász arm consumed randomness
 from the formerly shared RNG.)  The winner is reduced in configured
 engine order with a strict improvement rule, so ties resolve identically
 on every path.
+
+The portfolio runs on one :class:`~repro.graphs.indexed.IndexedGraph`
+snapshot: ``A_H^QK`` hands it the one its
+:class:`~repro.graphs.blowup.BlowupGraph` emits, and :func:`solve_hks`
+converts a :class:`WeightedGraph` once.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
 
 from repro.dks.expansion import solve_expansion
 from repro.dks.local_search import improve_by_swaps
@@ -28,8 +33,9 @@ from repro.dks.lovasz import solve_lovasz
 from repro.dks.peeling import solve_peeling
 from repro.dks.spectral import solve_spectral
 from repro.graphs.graph import Node, WeightedGraph
+from repro.graphs.indexed import IndexedGraph
 
-Solver = Callable[[WeightedGraph, int, Optional[random.Random]], FrozenSet[Node]]
+Solver = Callable[[IndexedGraph, int, Optional[random.Random]], FrozenSet[Node]]
 
 ENGINES: Dict[str, Solver] = {
     "peeling": solve_peeling,
@@ -47,7 +53,7 @@ _POLISHED = ("peeling", "expansion")
 _LARGE_GRAPH_NODES = 4_000
 
 
-def _solve_arm(args: Tuple[str, WeightedGraph, int, int, bool]) -> FrozenSet[Node]:
+def _solve_arm(args: Tuple[str, IndexedGraph, int, int, bool]) -> FrozenSet[Node]:
     """One portfolio arm (module-level so the process pool can pickle it)."""
     name, graph, k, seed, polish = args
     candidate = ENGINES[name](graph, k, random.Random(seed))
@@ -73,38 +79,8 @@ class HksPortfolio:
     polish: bool = True
     seed: int = 0
     jobs: Optional[int] = 1
-    #: Structural solve memo: the A^BCC picks loop re-solves the same
-    #: bipartition/blow-up subgraph for the same ``k`` across budget
-    #: iterations, and every arm is a pure function of ``(graph
-    #: structure, k, seed)`` — so an exact structural key (the graph's
-    #: cached :meth:`~repro.graphs.graph.WeightedGraph.fingerprint`, no
-    #: lossy hashing shortcuts) returns the identical frozenset object
-    #: without re-running the arms.  Excluded from equality/repr and
-    #: dropped on pickle (configs ride into pool workers; each process
-    #: re-warms its own memo).
-    _memo: Dict[Any, FrozenSet[Node]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
-    #: Memo entry cap; hitting it clears wholesale (the repo's bounded-
-    #: cache idiom — no LRU bookkeeping on the hot path).
-    _MEMO_MAX = 256
-
-    def __getstate__(self) -> Dict[str, Any]:
-        state = dict(self.__dict__)
-        state["_memo"] = {}
-        return state
-
-    def _memo_key(self, graph: WeightedGraph, k: int) -> Any:
-        return (
-            k,
-            tuple(self.engines),
-            self.polish,
-            self.seed,
-            graph.fingerprint(),
-        )
-
-    def solve(self, graph: WeightedGraph, k: int) -> FrozenSet[Node]:
+    def solve(self, graph: IndexedGraph, k: int) -> FrozenSet[Node]:
         """Run every configured engine and return the heaviest selection."""
         for name in self.engines:
             if name not in ENGINES:
@@ -114,14 +90,8 @@ class HksPortfolio:
         nodes_count = len(graph)
         if nodes_count <= k:
             return frozenset(graph.nodes)
-        from repro.profile import add_count, phase
+        from repro.profile import phase
 
-        key = self._memo_key(graph, k)
-        hit = self._memo.get(key)
-        if hit is not None:
-            add_count("hks_memo_hits")
-            return hit
-        add_count("hks_memo_misses")
         runnable = [
             name
             for name in self.engines
@@ -146,9 +116,6 @@ class HksPortfolio:
             if weight > best_weight:
                 best_weight = weight
                 best_set = candidate
-        if len(self._memo) >= self._MEMO_MAX:
-            self._memo.clear()
-        self._memo[key] = best_set
         return best_set
 
 
@@ -159,5 +126,7 @@ def solve_hks(
     seed: int = 0,
     jobs: Optional[int] = 1,
 ) -> FrozenSet[Node]:
-    """One-shot helper around :class:`HksPortfolio`."""
-    return HksPortfolio(engines=engines, seed=seed, jobs=jobs).solve(graph, k)
+    """One-shot helper around :class:`HksPortfolio` for a :class:`WeightedGraph`."""
+    return HksPortfolio(engines=engines, seed=seed, jobs=jobs).solve(
+        IndexedGraph.from_graph(graph), k
+    )

@@ -15,13 +15,13 @@ from typing import FrozenSet, Optional
 import numpy as np
 
 from repro.dks.local_search import improve_by_swaps
-from repro.dks.lovasz import _adjacency
 from repro.dks.projection import top_k_indices
-from repro.graphs.graph import Node, WeightedGraph
+from repro.graphs.graph import Node
+from repro.graphs.indexed import IndexedGraph
 
 
 def solve_spectral(
-    graph: WeightedGraph,
+    graph: IndexedGraph,
     k: int,
     rng: Optional[random.Random] = None,
     rank: int = 3,
@@ -29,14 +29,14 @@ def solve_spectral(
     """HkS from the top-``rank`` eigenvectors of the adjacency matrix."""
     if k <= 0:
         return frozenset()
-    nodes = list(graph.nodes)
+    nodes = graph.nodes
     n = len(nodes)
     if n <= k:
         return frozenset(nodes)
-    if graph.num_edges() == 0:
+    if not any(graph.adj):
         return frozenset(nodes[:k])
 
-    node_list, _, W = _adjacency(graph)
+    W = graph.matrix()
     rank = max(1, min(rank, n - 2))
     try:
         from scipy.sparse.linalg import eigsh
@@ -57,7 +57,7 @@ def solve_spectral(
     for col in range(vectors.shape[1]):
         for sign in (1.0, -1.0):
             scores = sign * vectors[:, col]
-            chosen = frozenset(node_list[i] for i in top_k_indices(scores, k))
+            chosen = frozenset(nodes[i] for i in top_k_indices(scores, k))
             weight = graph.induced_weight(chosen)
             if weight > best_weight:
                 best_weight = weight

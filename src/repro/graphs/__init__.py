@@ -10,6 +10,7 @@ from repro.graphs.graph import WeightedGraph
 from repro.graphs.bipartite import BipartiteGraph, random_bipartition
 from repro.graphs.hypergraph import Hypergraph
 from repro.graphs.blowup import BlowupGraph, blow_up
+from repro.graphs.indexed import IndexedGraph
 
 __all__ = [
     "WeightedGraph",
@@ -18,4 +19,5 @@ __all__ = [
     "Hypergraph",
     "BlowupGraph",
     "blow_up",
+    "IndexedGraph",
 ]

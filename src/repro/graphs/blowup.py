@@ -6,7 +6,12 @@ edges of weight ``w / (c(u) * c(v))``, so the total weight carried between
 the copy groups equals ``w``.  A cost budget ``B`` on the original graph then
 becomes a plain cardinality bound ``k = B`` on copies — the HkS form.
 
-Copies are addressed as ``(original_node, index)`` pairs.
+Copies are addressed as ``(original_node, index)`` pairs.  The blow-up is
+emitted directly as the :class:`~repro.graphs.indexed.IndexedGraph` the HkS
+arms read: every copy of a node has the same neighbour row (for each
+incident original edge, in ``original.edges()`` order, the other
+endpoint's copies in copy order), so each row and its weighted degree are
+built once per copy group and shared across the group.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Tuple
 
 from repro.graphs.graph import Node, WeightedGraph
+from repro.graphs.indexed import IndexedGraph, Row
 
 Copy = Tuple[Node, int]
 
@@ -22,14 +28,17 @@ class BlowupGraph:
     """The blown-up unit-cost graph, with bookkeeping back to the original.
 
     Attributes:
-        graph: the blown-up :class:`WeightedGraph` (all node costs are 1).
+        graph: the blown-up graph's :class:`IndexedGraph` snapshot (nodes:
+            each original node, in insertion order, as its copies
+            ``(node, 0)`` .. ``(node, c - 1)``).
         copies: mapping original node -> list of its copy nodes.
     """
 
     def __init__(self, original: WeightedGraph) -> None:
         self.original = original
-        self.graph = WeightedGraph()
         self.copies: Dict[Node, List[Copy]] = {}
+        nodes: List[Copy] = []
+        first: Dict[Node, int] = {}
         for node in original.nodes:
             cost = original.cost(node)
             int_cost = int(round(cost))
@@ -39,20 +48,25 @@ class BlowupGraph:
                 )
             node_copies = [(node, i) for i in range(int_cost)]
             self.copies[node] = node_copies
-            for copy in node_copies:
-                self.graph.add_node(copy, cost=1.0)
-        self.graph.add_edges(self._copy_edges())
+            first[node] = len(nodes)
+            nodes.extend(node_copies)
 
-    def _copy_edges(self):
-        """Yield every copy edge (the add_edge loop, minus the dispatch)."""
-        copies = self.copies
-        for u, v, w in self.original.edges():
-            u_copies = copies[u]
-            v_copies = copies[v]
-            per_copy = w / (len(u_copies) * len(v_copies))
-            for cu in u_copies:
-                for cv in v_copies:
-                    yield cu, cv, per_copy
+        rows: Dict[Node, Row] = {node: [] for node in first}
+        for u, v, w in original.edges():
+            cu = len(self.copies[u])
+            cv = len(self.copies[v])
+            per_copy = w / (cu * cv)
+            rows[u].extend([(j, per_copy) for j in range(first[v], first[v] + cv)])
+            rows[v].extend([(j, per_copy) for j in range(first[u], first[u] + cu)])
+
+        adj: List[Row] = []
+        degrees: List[float] = []
+        for node, row in rows.items():
+            degree = sum(w for _, w in row)
+            count = len(self.copies[node])
+            adj.extend([row] * count)
+            degrees.extend([degree] * count)
+        self.graph = IndexedGraph(nodes, adj, degrees)
 
     def original_node(self, copy: Copy) -> Node:
         """The original node a copy belongs to."""

@@ -16,23 +16,28 @@ Edge = Tuple[Node, Node]
 #: Memoized canonical orientations.  Blow-up copy nodes compare via the
 #: ``repr`` fallback (a ``TypeError`` raise plus two reprs per call), and
 #: the DkS loops sweep the same graphs many times, so the pair → key map
-#: pays for itself quickly.  Bounded by a wholesale clear.
+#: pays for itself quickly.  Bounded by a wholesale clear at
+#: :data:`_KEY_CACHE_CAP` entries.
 _KEY_CACHE: Dict[Tuple[Node, Node], Edge] = {}
+_KEY_CACHE_CAP = 1_000_000
 
 
 #: Memoized node reprs.  QK/DkS heuristics break float ties by ``repr``
 #: so selections are deterministic across hash seeds; heap pushing and
 #: greedy sweeps request the same node strings millions of times per
 #: solve, so the string is computed once per node.  Bounded by a
-#: wholesale clear.
+#: wholesale clear at :data:`_REPR_CACHE_CAP` entries; equal frozensets
+#: can print their members in different orders, so after a clear the
+#: next equal node to arrive sets the spelling.
 _REPR_CACHE: Dict[Node, str] = {}
+_REPR_CACHE_CAP = 1_000_000
 
 
 def node_repr(v: Node) -> str:
     """Memoized ``repr(v)`` for deterministic tiebreaks in hot loops."""
     cached = _REPR_CACHE.get(v)
     if cached is None:
-        if len(_REPR_CACHE) > 1_000_000:
+        if len(_REPR_CACHE) >= _REPR_CACHE_CAP:
             _REPR_CACHE.clear()
         cached = _REPR_CACHE[v] = repr(v)
     return cached
@@ -53,41 +58,10 @@ def edge_key(u: Node, v: Node) -> Edge:
         key = (u, v) if u <= v else (v, u)  # type: ignore[operator]
     except TypeError:
         key = (u, v) if repr(u) <= repr(v) else (v, u)
-    if len(_KEY_CACHE) > 1_000_000:
+    if len(_KEY_CACHE) >= _KEY_CACHE_CAP:
         _KEY_CACHE.clear()
     _KEY_CACHE[(u, v)] = key
     return key
-
-
-class GraphFingerprint:
-    """Exact structural identity token for a :class:`WeightedGraph`.
-
-    Wraps the full ``(node costs, canonical edges)`` structure — no lossy
-    hashing shortcut, so equal fingerprints mean equal structure — while
-    caching the (expensive, O(N+E)) hash so repeated dict lookups pay it
-    once per graph, not once per lookup.  Instances are immutable and
-    shared between a graph and its :meth:`WeightedGraph.copy` clones.
-    """
-
-    __slots__ = ("_data", "_hash")
-
-    def __init__(self, data: tuple) -> None:
-        self._data = data
-        self._hash = hash(data)
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: object) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, GraphFingerprint):
-            return NotImplemented
-        return self._hash == other._hash and self._data == other._data
-
-    def __repr__(self) -> str:
-        costs, edges = self._data
-        return f"GraphFingerprint(nodes={len(costs)}, edges={len(edges)})"
 
 
 class WeightedGraph:
@@ -105,11 +79,6 @@ class WeightedGraph:
         self._edge_list: Optional[List[Tuple[Node, Node, float]]] = None
         # Cached total weighted degrees; entries drop on incident change.
         self._wdeg: Dict[Node, float] = {}
-        # Cached structural fingerprint; dropped on any mutation.
-        self._fingerprint: Optional["GraphFingerprint"] = None
-        # Cached indexed-adjacency snapshot (dense_view); dropped on any
-        # structural mutation.
-        self._dense_view: Optional[tuple] = None
 
     # ------------------------------------------------------------------
     # construction
@@ -120,8 +89,6 @@ class WeightedGraph:
             raise ValueError(f"node cost must be non-negative, got {cost}")
         self._cost[node] = float(cost)
         self._adj.setdefault(node, {})
-        self._fingerprint = None
-        self._dense_view = None
 
     def add_edge(self, u: Node, v: Node, weight: float = 1.0) -> None:
         """Add the undirected edge ``{u, v}``, accumulating weight if present.
@@ -138,8 +105,6 @@ class WeightedGraph:
         self._adj[u][v] = self._adj[u].get(v, 0.0) + float(weight)
         self._adj[v][u] = self._adj[v].get(u, 0.0) + float(weight)
         self._edge_list = None
-        self._fingerprint = None
-        self._dense_view = None
         self._wdeg.pop(u, None)
         self._wdeg.pop(v, None)
 
@@ -149,9 +114,8 @@ class WeightedGraph:
         Validation, weight accumulation, auto-created endpoints and
         insertion order all match a per-edge :meth:`add_edge` loop; the
         difference is one cache invalidation and no per-edge method
-        dispatch, which is what the QK graph builders (blow-up,
-        bipartition, cost scaling) need when emitting tens of thousands
-        of copy edges per round.
+        dispatch, which is what the QK graph builders (bipartition, cost
+        scaling) need when emitting tens of thousands of edges per round.
         """
         cost = self._cost
         adj = self._adj
@@ -159,8 +123,6 @@ class WeightedGraph:
         # Invalidate up front: a mid-batch validation error must not
         # leave caches describing the pre-batch structure.
         self._edge_list = None
-        self._fingerprint = None
-        self._dense_view = None
         for u, v, weight in edges:
             if weight <= 0:
                 raise ValueError(f"edge weight must be positive, got {weight}")
@@ -188,8 +150,6 @@ class WeightedGraph:
         del self._adj[node]
         del self._cost[node]
         self._edge_list = None
-        self._fingerprint = None
-        self._dense_view = None
         self._wdeg.pop(node, None)
 
     def copy(self) -> "WeightedGraph":
@@ -197,11 +157,6 @@ class WeightedGraph:
         clone = WeightedGraph()
         clone._cost = dict(self._cost)
         clone._adj = {u: dict(nbrs) for u, nbrs in self._adj.items()}
-        # Structure is identical, so the (immutable) fingerprint and the
-        # read-only dense view carry over; the clone drops both on its
-        # first mutation like any other.
-        clone._fingerprint = self._fingerprint
-        clone._dense_view = self._dense_view
         return clone
 
     # ------------------------------------------------------------------
@@ -229,8 +184,6 @@ class WeightedGraph:
         if cost < 0:
             raise ValueError(f"node cost must be non-negative, got {cost}")
         self._cost[node] = float(cost)
-        self._fingerprint = None
-        self._dense_view = None
 
     def neighbors(self, node: Node) -> Dict[Node, float]:
         """Mapping neighbor -> edge weight for ``node``."""
@@ -274,49 +227,6 @@ class WeightedGraph:
                             append((key[0], key[1], w))
             self._edge_list = cached
         return iter(cached)
-
-    def fingerprint(self) -> GraphFingerprint:
-        """Structural fingerprint: node costs + canonical edge snapshot.
-
-        Exact — two graphs with the same nodes/costs and the same edges
-        *in the same insertion order* share a fingerprint (``copy()``
-        preserves order, so clones always match).  Cached until the next
-        mutation; the expensive hash is computed once per structure, so
-        memo layers (:class:`repro.dks.portfolio.HksPortfolio`) can key
-        on it without paying O(E) hashing per lookup.
-        """
-        fp = self._fingerprint
-        if fp is None:
-            fp = GraphFingerprint(
-                (tuple(self._cost.items()), tuple(self.edges()))
-            )
-            self._fingerprint = fp
-        return fp
-
-    def dense_view(self) -> Tuple[List[Node], Dict[Node, int], List[str], List[List[Tuple[int, float]]]]:
-        """Indexed-adjacency snapshot ``(nodes, index_of, reprs, adj)``.
-
-        ``nodes`` is the insertion-order node list, ``index_of`` its
-        inverse, ``reprs`` the memoized tiebreak strings, and ``adj[i]``
-        the ``(neighbor_index, weight)`` pairs in adjacency-row order —
-        exactly the arrays the dense DkS kernels (swap local search)
-        build.  Cached until the next structural mutation, because one
-        portfolio solve polishes several candidate selections against
-        the *same* graph and the O(n + m) build dominates the polish.
-        Callers must treat the returned arrays as read-only.
-        """
-        view = self._dense_view
-        if view is None:
-            nodes = list(self._cost)
-            index_of = {u: i for i, u in enumerate(nodes)}
-            reprs = [node_repr(u) for u in nodes]
-            adj_rows = self._adj
-            adj = [
-                [(index_of[v], w) for v, w in adj_rows[u].items()]
-                for u in nodes
-            ]
-            view = self._dense_view = (nodes, index_of, reprs, adj)
-        return view
 
     def num_edges(self) -> int:
         """Number of undirected edges."""

@@ -39,6 +39,7 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 from repro.dks.portfolio import HksPortfolio
 from repro.graphs.blowup import BlowupGraph
 from repro.graphs.graph import Node, WeightedGraph
+from repro.graphs.indexed import IndexedGraph
 
 # P2 blow-up guard: skip the procedure when it would explode.
 _MAX_P2_COPIES = 30_000
@@ -181,7 +182,7 @@ def solve_qk_taylor(
             node_cost = 2**i
             k = scaled_budget // node_cost
             if k >= 1:
-                selection = dks.solve(sub, min(k, len(sub)))
+                selection = dks.solve(IndexedGraph.from_graph(sub), min(k, len(sub)))
                 candidates.append(set(selection))
             continue
         w = 2 ** (i - j)

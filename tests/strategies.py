@@ -288,18 +288,43 @@ def solvable_instances(
     return BCCInstance(query_list, utilities, costs, budget=budget)
 
 
+#: First element of the two-int frozenset node names :func:`hks_graphs`
+#: draws.  Ints hash to themselves, so ``x`` and ``x + 8`` share a slot in
+#: a small set table and the set's member order follows its build order:
+#: ``frozenset((x, x + 8))`` and its equal twin ``frozenset((x + 8, x))``
+#: print differently in every process.
+FROZENSET_NAME_BASE = 1_000_001
+
+
 @st.composite
-def hks_graphs(draw, max_nodes: int = 24):
+def hks_graphs(draw, max_nodes: int = 24, max_cost: int = 1, tied=None):
     """Weighted graphs for the HkS arm differentials.
 
     Nodes are plain string names or blow-up copies ``(name, i)``, inserted
     in a drawn order.  Weights come from a three-value set (ties
-    everywhere) or a continuous range.  Nodes fall into one to three
-    blocks with edges only inside a block, so graphs are often
-    disconnected, and density 0 makes them edgeless.
+    everywhere) or a continuous range; ``tied`` fixes which instead of
+    drawing it.  Nodes fall into one to three blocks with edges only
+    inside a block, so graphs are often disconnected, and density 0 makes
+    them edgeless.
+
+    ``max_cost > 1`` draws blow-up inputs instead: integer node costs from
+    1 to ``max_cost`` (so per-copy weights are fractional), names that are
+    strings or two-int frozensets (see :data:`FROZENSET_NAME_BASE`), and
+    sometimes the A_H^QK bonus node ``("__bonus__",)``, which compares
+    with neither.
     """
     n = draw(st.integers(1, max_nodes))
-    if draw(st.booleans()):
+    if max_cost > 1:
+        if draw(st.booleans()):
+            names = [f"v{index}" for index in range(n)]
+        else:
+            names = [
+                frozenset((FROZENSET_NAME_BASE + 16 * index, FROZENSET_NAME_BASE + 16 * index + 8))
+                for index in range(n)
+            ]
+        if draw(st.booleans()):
+            names[-1] = ("__bonus__",)
+    elif draw(st.booleans()):
         names = [f"v{index}" for index in range(n)]
     else:
         copies = draw(st.integers(1, 4))
@@ -307,7 +332,8 @@ def hks_graphs(draw, max_nodes: int = 24):
     names = draw(st.permutations(names))
     blocks = draw(st.integers(1, 3))
     density = draw(st.sampled_from([0.0, 0.15, 0.4, 0.8]))
-    tied = draw(st.booleans())
+    if tied is None:
+        tied = draw(st.booleans())
     rng = Random(draw(st.integers(0, 2**32 - 1)))
     block_of = [rng.randrange(blocks) for _ in range(n)]
     pairs = [
@@ -319,7 +345,7 @@ def hks_graphs(draw, max_nodes: int = 24):
     rng.shuffle(pairs)
     graph = WeightedGraph()
     for name in names:
-        graph.add_node(name, cost=1.0)
+        graph.add_node(name, cost=float(rng.randint(1, max_cost)) if max_cost > 1 else 1.0)
     for i, j in pairs:
         if rng.random() < density:
             weight = rng.choice((0.5, 1.0, 2.0)) if tied else rng.uniform(0.01, 10.0)

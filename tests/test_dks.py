@@ -20,7 +20,7 @@ from repro.dks import (
     solve_peeling,
     solve_spectral,
 )
-from repro.graphs import WeightedGraph
+from repro.graphs import IndexedGraph, WeightedGraph
 from repro.graphs.graph import node_repr
 from repro.profile import PhaseProfiler, activate
 from tests.strategies import hks_graphs
@@ -103,32 +103,32 @@ class TestHeuristicsFindPlantedClique:
     @pytest.mark.parametrize("solver", ALL_HEURISTICS)
     def test_planted_clique_recovered(self, solver):
         g = planted_clique_graph(3)
-        selection = solver(g, 5, random.Random(0))
+        selection = solver(IndexedGraph.from_graph(g), 5, random.Random(0))
         # The planted clique has weight 100; heuristics should get close.
         assert g.induced_weight(selection) >= 80.0
 
     @pytest.mark.parametrize("solver", ALL_HEURISTICS)
     def test_selection_size(self, solver):
         g = random_graph(1)
-        selection = solver(g, 4, random.Random(0))
+        selection = solver(IndexedGraph.from_graph(g), 4, random.Random(0))
         assert len(selection) <= 4
 
     @pytest.mark.parametrize("solver", ALL_HEURISTICS)
     def test_k_zero_empty(self, solver):
         g = random_graph(2)
-        assert solver(g, 0, random.Random(0)) == frozenset()
+        assert solver(IndexedGraph.from_graph(g), 0, random.Random(0)) == frozenset()
 
     @pytest.mark.parametrize("solver", ALL_HEURISTICS)
     def test_k_at_least_n_returns_all(self, solver):
         g = random_graph(3, n=5)
-        assert solver(g, 10, random.Random(0)) == frozenset(range(5))
+        assert solver(IndexedGraph.from_graph(g), 10, random.Random(0)) == frozenset(range(5))
 
     @pytest.mark.parametrize("solver", ALL_HEURISTICS)
     def test_edgeless_graph(self, solver):
         g = WeightedGraph()
         for i in range(6):
             g.add_node(i)
-        selection = solver(g, 3, random.Random(0))
+        selection = solver(IndexedGraph.from_graph(g), 3, random.Random(0))
         assert len(selection) <= 3
 
 
@@ -148,17 +148,17 @@ class TestLocalSearch:
     def test_never_decreases_weight(self):
         g = random_graph(5)
         start = frozenset(list(g.nodes)[:4])
-        improved = improve_by_swaps(g, start)
+        improved = improve_by_swaps(IndexedGraph.from_graph(g), start)
         assert g.induced_weight(improved) >= g.induced_weight(start)
         assert len(improved) == len(start)
 
     def test_empty_selection(self):
         g = random_graph(6)
-        assert improve_by_swaps(g, []) == frozenset()
+        assert improve_by_swaps(IndexedGraph.from_graph(g), []) == frozenset()
 
     def test_full_selection_unchanged(self):
         g = random_graph(7, n=5)
-        assert improve_by_swaps(g, g.nodes) == frozenset(g.nodes)
+        assert improve_by_swaps(IndexedGraph.from_graph(g), g.nodes) == frozenset(g.nodes)
 
 
 class TestPortfolio:
@@ -167,13 +167,13 @@ class TestPortfolio:
         k = 5
         portfolio_weight = g.induced_weight(solve_hks(g, k))
         for solver in ALL_HEURISTICS:
-            weight = g.induced_weight(solver(g, k, random.Random(0)))
+            weight = g.induced_weight(solver(IndexedGraph.from_graph(g), k, random.Random(0)))
             assert portfolio_weight >= weight - 1e-9
 
     def test_unknown_engine_rejected(self):
         g = random_graph(1)
         with pytest.raises(ValueError):
-            HksPortfolio(engines=("nonsense",)).solve(g, 2)
+            HksPortfolio(engines=("nonsense",)).solve(IndexedGraph.from_graph(g), 2)
 
     @given(seed=st.integers(0, 500), k=st.integers(1, 6))
     @settings(max_examples=25, deadline=None)
@@ -188,67 +188,23 @@ class TestPortfolio:
 
 
 class TestPortfolioMemo:
-    """The structural (graph fingerprint, k) solve memo."""
-
-    def test_repeat_solve_returns_same_object(self):
-        g = random_graph(3, n=12, p=0.5)
-        portfolio = HksPortfolio(seed=0)
-        first = portfolio.solve(g, 4)
-        second = portfolio.solve(g, 4)
-        assert second is first  # object-level hit, arms not re-run
-
-    def test_structural_hit_across_copies(self):
-        g = random_graph(4, n=12, p=0.5)
-        portfolio = HksPortfolio(seed=0)
-        first = portfolio.solve(g, 4)
-        assert portfolio.solve(g.copy(), 4) is first
-
-    def test_mutation_misses_and_resolves(self):
-        g = random_graph(5, n=12, p=0.5)
-        portfolio = HksPortfolio(seed=0)
-        first = portfolio.solve(g, 4)
-        g.add_edge(0, 1, 100.0)
-        second = portfolio.solve(g, 4)
-        assert second is not first
-        # The mutated graph now has its own memo line.
-        assert portfolio.solve(g, 4) is second
-
-    def test_distinct_k_entries_are_independent(self):
-        g = random_graph(6, n=12, p=0.5)
-        portfolio = HksPortfolio(seed=0)
-        three = portfolio.solve(g, 3)
-        five = portfolio.solve(g, 5)
-        assert len(three) == 3 and len(five) == 5
-        assert portfolio.solve(g, 3) is three
-        assert portfolio.solve(g, 5) is five
-
-    def test_memo_never_exceeds_its_cap(self, monkeypatch):
-        cap = 2
-        monkeypatch.setattr(HksPortfolio, "_MEMO_MAX", cap)
-        graphs = [random_graph(seed, n=10, p=0.5) for seed in range(5)]
-        expected = [HksPortfolio(seed=0).solve(g, 4) for g in graphs]
-        portfolio = HksPortfolio(seed=0)
-        sizes = []
-        for g, answer in zip(graphs * 2, expected * 2):
-            assert portfolio.solve(g, 4) == answer
-            sizes.append(len(portfolio._memo))
-        assert max(sizes) == cap  # driven to the cap, never past it
+    """Pool workers receive the portfolio config by pickle."""
 
     def test_pickle_drops_memo_but_solves_identically(self):
         import pickle
 
-        g = random_graph(7, n=12, p=0.5)
+        g = IndexedGraph.from_graph(random_graph(7, n=12, p=0.5))
         portfolio = HksPortfolio(seed=0)
         answer = portfolio.solve(g, 4)
         clone = pickle.loads(pickle.dumps(portfolio))
-        assert clone._memo == {}
+        assert clone == portfolio
         assert clone.solve(g, 4) == answer
 
 
 # ----------------------------------------------------------------------
 # Byte-identity differentials: each kernel against a test-local reference
 # (the bisection that sums with numpy at every step, the O(n) argmax
-# expansion, peeling on a private adjacency).
+# expansion, peeling on a private adjacency, swap polish on node dicts).
 # ----------------------------------------------------------------------
 
 
@@ -346,6 +302,35 @@ def _private_adjacency_peeling(graph, k):
     return frozenset(u for i, u in enumerate(ranked) if alive[i])
 
 
+def _dict_improve_by_swaps(graph, selection, max_passes=50):
+    """Swap polish on node dicts, rescanning inside-degrees per swap."""
+    selected = set(selection)
+    if not selected or len(selected) >= len(graph):
+        return frozenset(selected)
+    inside_degree = {u: graph.weighted_degree(u, within=selected) for u in graph.nodes}
+    for _ in range(max_passes):
+        worst = min(selected, key=lambda u: (inside_degree[u], node_repr(u)))
+        best_gain = inside_degree[worst]
+        best_candidate = None
+        worst_nbrs = graph.neighbors(worst)
+        for v in graph.nodes:
+            if v in selected:
+                continue
+            gain = inside_degree[v] - worst_nbrs.get(v, 0.0)
+            if gain > best_gain + 1e-12:
+                best_gain = gain
+                best_candidate = v
+        if best_candidate is None:
+            break
+        selected.discard(worst)
+        for v, w in worst_nbrs.items():
+            inside_degree[v] -= w
+        selected.add(best_candidate)
+        for v, w in graph.neighbors(best_candidate).items():
+            inside_degree[v] += w
+    return frozenset(selected)
+
+
 #: Input shapes for the projection differential: ``integer`` makes the
 #: mass equal ``k`` on a whole interval of shifts, ``quarter`` ties
 #: coordinates, ``huge`` is past the range the estimate may be used in,
@@ -438,18 +423,30 @@ class TestProjectionMatchesBisection:
 
 
 class TestCombinatorialArmsMatchReference:
+    # Iteration order too: later float sums walk the returned frozenset,
+    # and its order follows the order the arm inserted its members in.
     @given(graph=hks_graphs(), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_expansion_matches_argmax_scan(self, graph, data):
         k = data.draw(st.integers(1, len(graph)))
-        assert solve_expansion(graph, k) == _argmax_expansion(graph, k)
+        ours = solve_expansion(IndexedGraph.from_graph(graph), k)
+        assert list(ours) == list(_argmax_expansion(graph, k))
 
     @given(graph=hks_graphs(), data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_peeling_matches_private_adjacency(self, graph, data):
         k = data.draw(st.integers(1, len(graph)))
-        graph.dense_view()  # a warm shared snapshot must not change the answer
-        assert solve_peeling(graph, k) == _private_adjacency_peeling(graph, k)
+        ours = solve_peeling(IndexedGraph.from_graph(graph), k)
+        assert list(ours) == list(_private_adjacency_peeling(graph, k))
+
+    # Dyadic weights keep every sum exact, so the reference's builtin
+    # ``sum`` (compensated on Python 3.12) and the polish's ``+=`` agree.
+    @given(graph=hks_graphs(tied=True), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_swap_polish_matches_dict_scan(self, graph, data):
+        selection = data.draw(st.sets(st.sampled_from(list(graph.nodes)), min_size=1))
+        snapshot = IndexedGraph.from_graph(graph)
+        assert improve_by_swaps(snapshot, selection) == _dict_improve_by_swaps(graph, selection)
 
 
 def _pinned_graph(seed, n):
@@ -635,6 +632,6 @@ _PINNED = [
 class TestPinnedAnswers:
     @pytest.mark.parametrize("seed,n,k,lovasz,portfolio", _PINNED)
     def test_lovasz_and_portfolio(self, seed, n, k, lovasz, portfolio):
-        graph = _pinned_graph(seed, n)
+        graph = IndexedGraph.from_graph(_pinned_graph(seed, n))
         assert solve_lovasz(graph, k, random.Random(seed)) == frozenset(lovasz)
         assert HksPortfolio(seed=seed).solve(graph, k) == frozenset(portfolio)

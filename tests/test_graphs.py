@@ -1,20 +1,27 @@
 """Unit and property tests for the graph substrate (repro.graphs)."""
 
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import coo_matrix
 
 from repro.graphs import (
     BipartiteGraph,
+    BlowupGraph,
     Hypergraph,
+    IndexedGraph,
     WeightedGraph,
     blow_up,
     random_bipartition,
 )
+from repro.graphs import graph as graph_module
 from repro.graphs.bipartite import all_bipartitions, bipartition_rounds
 from repro.graphs.blowup import total_integer_cost
+from repro.graphs.graph import edge_key, node_repr
+from tests.strategies import hks_graphs
 
 
 def triangle() -> WeightedGraph:
@@ -228,10 +235,12 @@ class TestBlowup:
         assert blown.graph.induced_weight(set(blown.graph.nodes)) == pytest.approx(6.0)
 
     def test_all_copies_unit_cost(self):
+        # Each copy stands for one unit of cost, so k copies fit budget k.
         g = WeightedGraph()
         g.add_node("a", 4.0)
         blown = blow_up(g)
-        assert all(blown.graph.cost(c) == 1.0 for c in blown.graph.nodes)
+        assert blown.graph.nodes == [("a", 0), ("a", 1), ("a", 2), ("a", 3)]
+        assert blown.group_selection(blown.graph.nodes) == {"a": 4}
 
     def test_non_integer_cost_rejected(self):
         g = WeightedGraph()
@@ -259,6 +268,145 @@ class TestBlowup:
         g.add_node("a", 2.0)
         g.add_node("b", 3.0)
         assert total_integer_cost(g) == 5
+
+
+def _reference_blowup(original):
+    """The blow-up as a unit-cost ``WeightedGraph``, built copy edge by copy edge."""
+    graph = WeightedGraph()
+    copies = {}
+    for node in original.nodes:
+        copies[node] = [(node, i) for i in range(int(original.cost(node)))]
+        for copy in copies[node]:
+            graph.add_node(copy, cost=1.0)
+    graph.add_edges(
+        (cu, cv, w / (len(copies[u]) * len(copies[v])))
+        for u, v, w in original.edges()
+        for cu in copies[u]
+        for cv in copies[v]
+    )
+    return graph
+
+
+def _reference_view(graph):
+    """``(nodes, reprs, rows, degrees, csr)`` read off a ``WeightedGraph``.
+
+    Insertion-order nodes, ``node_repr`` strings, ``neighbors`` rows,
+    ``weighted_degree`` totals and the COO -> CSR adjacency of the edge
+    snapshot.  Numbers are compared by ``repr``, which round-trips floats
+    exactly and tells an isolated node's int ``0`` from ``0.0``.
+    """
+    nodes = list(graph.nodes)
+    index = {u: i for i, u in enumerate(nodes)}
+    rows = [[(index[v], repr(w)) for v, w in graph.neighbors(u).items()] for u in nodes]
+    degrees = [repr(graph.weighted_degree(u)) for u in nodes]
+    coo_rows, coo_cols, vals = [], [], []
+    for u, v, w in graph.edges():
+        coo_rows.extend((index[u], index[v]))
+        coo_cols.extend((index[v], index[u]))
+        vals.extend((w, w))
+    csr = coo_matrix((vals, (coo_rows, coo_cols)), shape=(len(nodes), len(nodes))).tocsr()
+    return nodes, [node_repr(u) for u in nodes], rows, degrees, csr
+
+
+def _assert_snapshot_matches(snapshot, graph, selection):
+    nodes, reprs, rows, degrees, csr = _reference_view(graph)
+    assert snapshot.nodes == nodes
+    assert snapshot.reprs == reprs
+    assert [[(j, repr(w)) for j, w in row] for row in snapshot.adj] == rows
+    assert [repr(d) for d in snapshot.degrees] == degrees
+    matrix = snapshot.matrix()
+    for field in ("indptr", "indices", "data"):
+        ours, theirs = getattr(matrix, field), getattr(csr, field)
+        assert ours.dtype == theirs.dtype
+        assert ours.tobytes() == theirs.tobytes()
+    assert repr(snapshot.induced_weight(selection)) == repr(graph.induced_weight(selection))
+
+
+def _respell_frozenset_names(original):
+    """Cache the other spelling of every frozenset name and of its copies.
+
+    An equal twin built in the other order prints its members the other
+    way round, so a snapshot that calls ``repr`` instead of ``node_repr``
+    disagrees with the cached strings.
+    """
+    for node in original.nodes:
+        if isinstance(node, frozenset):
+            twin = frozenset(sorted(node, reverse=True))
+            node_repr(twin)
+            for i in range(int(original.cost(node))):
+                node_repr((twin, i))
+
+
+class TestIndexedGraph:
+    @given(original=hks_graphs(max_cost=4), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_blowup_snapshot_matches_the_copy_graph(self, original, data):
+        _respell_frozenset_names(original)
+        blown = BlowupGraph(original)
+        reference = _reference_blowup(original)
+        selection = data.draw(st.sets(st.sampled_from(list(reference.nodes))))
+        _assert_snapshot_matches(blown.graph, reference, selection)
+
+    @given(graph=hks_graphs(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_from_graph_matches_the_graph(self, graph, data):
+        selection = data.draw(st.sets(st.sampled_from(list(graph.nodes))))
+        _assert_snapshot_matches(IndexedGraph.from_graph(graph), graph, selection)
+
+    def test_snapshot_pickles(self):
+        g = triangle()
+        blown = BlowupGraph(g)
+        blown.graph.matrix()
+        clone = pickle.loads(pickle.dumps(blown.graph))
+        for field in ("nodes", "index_of", "reprs", "adj", "degrees"):
+            assert getattr(clone, field) == getattr(blown.graph, field)
+        assert (clone.matrix() != blown.graph.matrix()).nnz == 0
+
+
+class TestReprCacheBound:
+    def test_repr_memo_never_exceeds_its_cap(self, monkeypatch):
+        """``node_repr``'s memo clears wholesale at its cap."""
+        cap = 3
+        monkeypatch.setattr(graph_module, "_REPR_CACHE", {})
+        monkeypatch.setattr(graph_module, "_REPR_CACHE_CAP", cap)
+        nodes = ["a", ("b", 0), 7, frozenset({"x"}), ("__bonus__",), 2.5, "z"]
+        sizes = []
+        for node in nodes * 2:
+            assert node_repr(node) == repr(node)
+            sizes.append(len(graph_module._REPR_CACHE))
+        assert max(sizes) == cap  # driven to the cap, never past it
+        # Equal frozensets share the first spelling until a clear; the
+        # next one to arrive after it sets the spelling anew.
+        a, b = 1_000_001, 1_000_009
+        first, twin = frozenset((a, b)), frozenset((b, a))
+        graph_module._REPR_CACHE.clear()
+        assert node_repr(first) == node_repr(twin) == repr(first)
+        for node in nodes[:cap]:  # the cap-th insert clears the memo
+            node_repr(node)
+        assert node_repr(twin) == repr(twin)
+
+
+class TestKeyCacheBound:
+    def test_key_memo_never_exceeds_its_cap(self, monkeypatch):
+        """``edge_key``'s memo clears wholesale at its cap."""
+        cap = 3
+        monkeypatch.setattr(graph_module, "_KEY_CACHE", {})
+        monkeypatch.setattr(graph_module, "_KEY_CACHE_CAP", cap)
+        bonus = ("__bonus__",)
+        cases = [
+            (("a", "b"), ("a", "b")),
+            (("b", "a"), ("a", "b")),
+            ((("c", 1), ("c", 0)), (("c", 0), ("c", 1))),
+            ((bonus, "a"), ("a", bonus)),  # no order: by repr, "'a'" < "("
+            (("a", bonus), ("a", bonus)),
+            ((2, 1), (1, 2)),
+            ((1, 3), (1, 3)),
+        ]
+        sizes = []
+        for (u, v), key in cases * 2:
+            assert edge_key(u, v) == key
+            sizes.append(len(graph_module._KEY_CACHE))
+        assert max(sizes) == cap  # driven to the cap, never past it
 
 
 @given(seed=st.integers(0, 5000))

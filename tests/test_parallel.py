@@ -35,7 +35,7 @@ from repro.dks import HksPortfolio
 from repro.experiments.figures import ALL_FIGURES
 from repro.experiments.runner import FigureResult, averaged_random
 from repro.experiments.scales import MICRO
-from repro.graphs import WeightedGraph
+from repro.graphs import IndexedGraph, WeightedGraph
 from repro.incremental.delta import random_delta
 from repro.parallel import (
     ParallelConfig,
@@ -484,7 +484,7 @@ class TestSerialParallelEquality:
 
     def test_portfolio_identical_across_jobs(self):
         for seed in range(4):
-            graph = _random_graph(seed)
+            graph = IndexedGraph.from_graph(_random_graph(seed))
             serial = HksPortfolio(seed=seed, jobs=1).solve(graph, 4)
             fanned = HksPortfolio(seed=seed, jobs=JOBS).solve(graph, 4)
             assert serial == fanned
