@@ -3,8 +3,8 @@
 Real classifier workloads are often topically clustered — camera queries
 share camera properties, refrigerator queries share refrigerator
 properties, and nothing bridges the two.  Such workloads decompose into
-independent components that :func:`repro.decompose.solve_bcc_sharded`
-can solve in parallel.  This generator builds that structure explicitly:
+independent components that :func:`repro.incremental.solve_bcc_sharded`
+solves shard by shard.  This generator builds that structure explicitly:
 ``n_components`` disjoint property pools, each populated by an
 independent synthetic sub-workload (same length/cost/utility marginals
 as :func:`repro.datasets.synthetic.generate_synthetic`), so the

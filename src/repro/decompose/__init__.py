@@ -1,15 +1,15 @@
-"""Workload decomposition: shard BCC instances, solve shards in parallel.
+"""Workload decomposition: the shard partition and the budget allocator.
 
 A BCC instance decomposes exactly along connected components of the
 "shares a usable classifier" relation on ``Q``: a classifier ``c`` only
 helps cover queries ``q ⊇ c``, so components never interact except
 through the shared budget.  This package computes that partition
-(:func:`partition_workload`), solves each shard over a capped grid of
-candidate budgets through the parallel task layer, and recombines the
-per-shard profiles with an exact multiple-choice knapsack
-(:mod:`repro.decompose.allocator`) — see
-:func:`solve_bcc_sharded` and the "Workload decomposition & sharded
-solving" section of ``docs/ALGORITHMS.md``.
+(:func:`partition_workload`) and recombines per-shard solved profiles
+with an exact multiple-choice knapsack
+(:mod:`repro.decompose.allocator`).  The shard solves themselves run in
+:mod:`repro.incremental` (:func:`~repro.incremental.solve_bcc_sharded`);
+see the "Incremental re-solve" section of
+``docs/ALGORITHMS.md``.
 """
 
 from repro.decompose.allocator import (
@@ -19,7 +19,6 @@ from repro.decompose.allocator import (
     pareto_profile,
 )
 from repro.decompose.partition import WorkloadPartition, partition_workload
-from repro.decompose.solver import ShardedConfig, solve_bcc_sharded
 
 __all__ = [
     "WorkloadPartition",
@@ -28,6 +27,4 @@ __all__ = [
     "budget_grid",
     "pareto_profile",
     "allocate",
-    "ShardedConfig",
-    "solve_bcc_sharded",
 ]

@@ -5,7 +5,7 @@ interact iff some *usable* (finite-cost) classifier is a subset of both —
 i.e. iff some non-empty subset of their intersection has finite cost.
 Components of that relation never interact except through the shared
 budget (PAPER.md §2–3), which is exactly what the sharded solver
-exploits.
+(:func:`repro.incremental.solve_bcc_sharded`) exploits.
 
 The partition computed here unions queries per shared property, walking
 the workload's property→query inverted index (the ``CompiledWorkload``
@@ -17,13 +17,17 @@ two queries.  Property-sharing is otherwise a conservative superset of
 the classifier relation (the shared singleton may itself be priced
 infinite while a larger shared subset is finite, and over-merging is
 always exact — it only forfeits parallelism, never correctness).
+
+:func:`connected_components` is the one components routine: the cold
+partition here and :class:`~repro.incremental.partition.DynamicPartition`'s
+local re-splits both run it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.core.bitset import active_engine
 from repro.core.model import BCCInstance, ClassifierWorkload, Query
@@ -53,7 +57,24 @@ class _UnionFind:
             self.parent[rb] = ra
 
 
-def _property_usable(workload: ClassifierWorkload, prop: str) -> bool:
+def connected_components(n: int, rows: Iterable[Sequence[int]]) -> List[List[int]]:
+    """Components of ``range(n)`` where each row's members are connected.
+
+    Components come in order of their first member, and members in
+    ascending order, so the output depends only on the rows' contents.
+    """
+    uf = _UnionFind(n)
+    for row in rows:
+        first = row[0]
+        for other in row[1:]:
+            uf.union(first, other)
+    members: Dict[int, List[int]] = {}
+    for position in range(n):
+        members.setdefault(uf.find(position), []).append(position)
+    return list(members.values())
+
+
+def property_usable(workload: ClassifierWorkload, prop: str) -> bool:
     """Whether any finite-cost relevant classifier tests ``prop``.
 
     Fast path: the singleton ``{prop}`` (relevant whenever the property
@@ -80,16 +101,11 @@ class WorkloadPartition:
             workload order, so the partition is deterministic and
             engine-identical.
         query_to_shard: query → shard index.
-        dead_properties: shared properties (appearing in two or more
-            queries) that no finite-cost classifier tests — they never
-            couple queries, so their overlap was ignored.  Properties
-            appearing in a single query are never probed.
     """
 
     workload: ClassifierWorkload
     shards: Tuple[Tuple[Query, ...], ...]
     query_to_shard: Mapping[Query, int]
-    dead_properties: Tuple[str, ...]
 
     @property
     def num_shards(self) -> int:
@@ -143,36 +159,18 @@ def partition_workload(workload: ClassifierWorkload) -> WorkloadPartition:
     properties whose singleton is explicitly priced infinite.
     """
     queries = workload.queries
-    uf = _UnionFind(len(queries))
-    dead: List[str] = []
-    for prop, row in _property_rows(workload):
-        if len(row) < 2:
-            continue
-        if not _property_usable(workload, prop):
-            dead.append(prop)
-            continue
-        first = row[0]
-        for other in row[1:]:
-            uf.union(first, other)
-
-    members: Dict[int, List[int]] = {}
-    order: List[int] = []
-    for position in range(len(queries)):
-        root = uf.find(position)
-        if root not in members:
-            members[root] = []
-            order.append(root)
-        members[root].append(position)
-
+    rows = (
+        row
+        for prop, row in _property_rows(workload)
+        if len(row) > 1 and property_usable(workload, prop)
+    )
     shards = tuple(
-        tuple(queries[position] for position in members[root]) for root in order
+        tuple(queries[position] for position in component)
+        for component in connected_components(len(queries), rows)
     )
     query_to_shard = {
         query: index for index, shard in enumerate(shards) for query in shard
     }
     return WorkloadPartition(
-        workload=workload,
-        shards=shards,
-        query_to_shard=query_to_shard,
-        dead_properties=tuple(sorted(dead)),
+        workload=workload, shards=shards, query_to_shard=query_to_shard
     )

@@ -478,11 +478,12 @@ def figfrag(
 ) -> FigureResult:
     """Decomposition figure: utility by budget on a fragmented workload.
 
-    Not a paper figure — it exercises :mod:`repro.decompose` on a
-    workload with ≥8 independent components, comparing ``A^BCC`` against
-    ``A^BCC[sharded]`` (plus the greedy baselines).  The sharded arm must
-    match the monolithic arm wherever the budget is non-binding and stay
-    within allocator-grid resolution elsewhere.
+    Not a paper figure — it exercises the sharded solver
+    (:func:`repro.incremental.solve_bcc_sharded`) on a workload with ≥8
+    independent components, comparing ``A^BCC`` against the
+    ``abcc-sharded`` arm (plus the greedy baselines).  The sharded arm
+    must match the monolithic arm wherever the budget is non-binding and
+    stay within allocator-grid resolution elsewhere.
     """
     per_component = {"micro": 6, "tiny": 10, "small": 40}.get(scale.name, 80)
     base = generate_fragmented(

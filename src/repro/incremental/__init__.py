@@ -1,9 +1,9 @@
-"""Dynamic BCC: workload deltas and warm-started re-solving.
+"""Sharded BCC solving: cold sharded solves and warm delta re-plans.
 
-Workloads evolve — queries arrive and retire, utilities drift,
-classifier prices change — and re-planning from scratch after every edit
-throws away almost everything the previous solve computed.  This package
-makes BCC planning *incremental*:
+A BCC instance splits into query components that interact only through
+the shared budget.  This package solves those components shard by shard,
+cold or warm after workload edits — queries arrive and retire, utilities
+drift, classifier prices change:
 
 - :class:`~repro.incremental.delta.WorkloadDelta` describes one atomic
   batch of edits, validated up front and invertible
@@ -11,13 +11,19 @@ makes BCC planning *incremental*:
 - :class:`~repro.incremental.partition.DynamicPartition` maintains the
   shard decomposition across edits (incremental union for adds, local
   rebuilds for deletes and usability flips);
-- :class:`~repro.incremental.engine.IncrementalSolver` /
-  :func:`~repro.incremental.engine.resolve_delta` re-solve only the
-  shards a delta touches, reusing solved pareto profiles through a
-  content-addressed store, and return a solution identical to — and
-  certified like — a cold solve of the mutated instance.
+- :class:`~repro.incremental.engine.IncrementalSolver` solves the shards,
+  and its :meth:`~repro.incremental.engine.IncrementalSolver.resolve_delta`
+  re-solves only the shards a delta touches, reusing solved pareto
+  profiles through a content-addressed store, and returns a solution
+  identical to — and certified like — a cold solve of the mutated
+  instance;
+- :func:`~repro.incremental.engine.solve_bcc_sharded` is the cold entry
+  (registry arm ``abcc-sharded``): an :class:`IncrementalSolver` solve
+  with an empty profile store, or the inner solver on the whole instance
+  when it has one shard.
 
-See the "Incremental re-solve" section of ``docs/ALGORITHMS.md``.
+See the "Incremental re-solve" section of
+``docs/ALGORITHMS.md``.
 """
 
 from repro.incremental.delta import WorkloadDelta, random_delta
@@ -25,7 +31,7 @@ from repro.incremental.engine import (
     IncrementalConfig,
     IncrementalSolver,
     ShardProfile,
-    resolve_delta,
+    solve_bcc_sharded,
 )
 from repro.incremental.partition import DynamicPartition
 
@@ -36,5 +42,5 @@ __all__ = [
     "IncrementalConfig",
     "IncrementalSolver",
     "ShardProfile",
-    "resolve_delta",
+    "solve_bcc_sharded",
 ]

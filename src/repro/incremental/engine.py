@@ -1,24 +1,38 @@
-"""The delta re-solve engine: warm-start BCC planning after workload edits.
+"""The shard-solve engine: cold sharded solves and warm delta re-plans.
 
-:class:`IncrementalSolver` owns a mutable :class:`BCCInstance` and keeps,
-between solves, everything a cold :func:`repro.decompose.solve_bcc_sharded`
-run would recompute from scratch:
+A BCC instance splits into query components (shards) that interact only
+through the shared budget: a classifier only helps queries that contain
+it (:mod:`repro.decompose.partition`).  :class:`IncrementalSolver` owns a
+mutable :class:`BCCInstance` and solves it shard by shard:
 
-- the shard partition, maintained incrementally by
-  :class:`~repro.incremental.partition.DynamicPartition`;
-- solved per-shard pareto profiles, stored *content-addressed* under the
-  shard's budget-free :func:`~repro.parallel.fingerprint.workload_fingerprint`
-  — a shard untouched by a delta re-keys to the same fingerprint no
-  matter how the other shards merged or split, so its profile (and every
-  inner solve behind it) is reused verbatim.
+1. the shard partition, maintained across edits by
+   :class:`~repro.incremental.partition.DynamicPartition`;
+2. every shard missing from the profile store is solved over its
+   candidate budget grid through :func:`repro.parallel.pool.run_tasks` —
+   one :class:`~repro.parallel.pool.SolveTask` per (shard, budget point);
+3. solved per-shard pareto profiles are stored *content-addressed* under
+   the shard's budget-free
+   :func:`~repro.parallel.fingerprint.workload_fingerprint` — a shard
+   untouched by a delta re-keys to the same fingerprint no matter how the
+   other shards merged or split, so its profile (and every inner solve
+   behind it) is reused verbatim;
+4. the allocator (:mod:`repro.decompose.allocator`) picks one solved
+   point per shard, the union selection is re-scored from first
+   principles, and the recombined shard totals must match that re-score
+   or a :class:`~repro.core.errors.DecompositionError` is raised.
 
-``resolve_delta`` applies a :class:`~repro.incremental.delta.WorkloadDelta`,
-patches the partition, re-solves only the shards whose fingerprints
-missed, re-runs the grouped-knapsack recombination over the (mostly
-cached) profiles, and re-scores the union selection from first
-principles.  The result is *identical* to a cold solve of the mutated
-instance — same pipeline, same profiles, same allocator — and with
-``certify`` every warm solution carries a first-principles
+Exactness: under a non-binding budget (one covering every shard's total
+finite classifier cost) each shard is solved once and the result equals
+the inner solver's on the whole instance; under a binding budget it is
+optimal over the grid of per-shard solutions.
+
+:func:`solve_bcc_sharded` is the cold entry: this pipeline on an empty
+profile store, except that a one-shard instance runs the inner solver on
+the whole instance.  :meth:`IncrementalSolver.resolve_delta` is the warm
+one: it applies a :class:`~repro.incremental.delta.WorkloadDelta`,
+patches the partition and re-solves only the shards whose fingerprints
+missed.  Its result is *identical* to a cold solve of the mutated
+instance, and with ``certify`` every result carries a first-principles
 :class:`~repro.verify.certificate.SolutionCertificate`.
 
 The selection union is additionally replayed through a fresh
@@ -33,9 +47,10 @@ cannot hide behind the evaluator.
 from __future__ import annotations
 
 import math
+import os
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.coverage import CoverageTracker
@@ -43,34 +58,91 @@ from repro.core.errors import DecompositionError
 from repro.core.model import BCCInstance, Classifier
 from repro.core.solution import Solution, evaluate
 from repro.decompose.allocator import ProfilePoint, allocate, budget_grid
-from repro.decompose.solver import (
-    _TOL,
-    _check_composition,
-    _finite_costs,
-    _shard_finite_total,
-    effective_jobs,
-)
 from repro.incremental.delta import WorkloadDelta
 from repro.incremental.partition import DynamicPartition
 from repro.parallel.cache import ResultCache
 from repro.parallel.clock import Clock
-from repro.parallel.fingerprint import shard_fingerprints, workload_fingerprint
-from repro.parallel.pool import ParallelConfig, SolveTask, run_tasks
+from repro.parallel.fingerprint import shard_fingerprints
+from repro.parallel.pool import ParallelConfig, SolveTask, resolve_jobs, run_tasks
 from repro.parallel.seeding import seed_for
+
+_TOL = 1e-9
+
+#: Below this many queries a shard solve is cheaper than shipping it to a
+#: worker process, so batches made only of such shards run in-process.
+TINY_SHARD_QUERIES = 16
 
 #: Shard profiles kept in the content-addressed store (LRU beyond this).
 MAX_STORED_PROFILES = 256
 
 
+def effective_jobs(jobs: Optional[int], tasks: Sequence[SolveTask]) -> int:
+    """Worker count actually worth using for this batch.
+
+    ``resolve_jobs`` answers what the caller *allows*; this clamps it by
+    what the machine and the batch can *use*: never more workers than
+    CPUs or tasks, and serial when every task is tiny (fork + pickle
+    overhead dwarfs a sub-millisecond shard solve).
+    """
+    allowed = resolve_jobs(jobs)
+    allowed = min(allowed, os.cpu_count() or 1, max(1, len(tasks)))
+    if allowed > 1 and all(
+        task.instance.num_queries < TINY_SHARD_QUERIES for task in tasks
+    ):
+        return 1
+    return allowed
+
+
+def _finite_costs(shard: BCCInstance) -> List[float]:
+    """The shard's finite relevant-classifier costs (their sum is the
+    shard's saturation budget: no solution can usefully spend more)."""
+    return [
+        cost
+        for cost in (shard.cost(c) for c in shard.relevant_classifiers())
+        if not math.isinf(cost)
+    ]
+
+
+def _check_composition(
+    solution: Solution,
+    allocated_utility: float,
+    shard_spends: List[float],
+    chosen: List[Optional[ProfilePoint]],
+) -> None:
+    """First-principles totals must equal the recombined shard totals."""
+    expected_utility = sum(point.utility for point in chosen if point is not None)
+    expected_cost = sum(shard_spends)
+    scale = max(1.0, abs(expected_utility), abs(solution.utility))
+    if abs(solution.utility - expected_utility) > _TOL * scale:
+        raise DecompositionError(
+            f"recombined shard utility {expected_utility} disagrees with the "
+            f"first-principles evaluation {solution.utility} — shards interact"
+        )
+    scale = max(1.0, abs(expected_cost), abs(solution.cost))
+    if abs(solution.cost - expected_cost) > _TOL * scale:
+        raise DecompositionError(
+            f"recombined shard cost {expected_cost} disagrees with the "
+            f"first-principles evaluation {solution.cost} — shards overlap"
+        )
+    scale = max(1.0, abs(allocated_utility))
+    if abs(allocated_utility - expected_utility) > _TOL * scale:
+        raise DecompositionError(
+            f"allocator value {allocated_utility} disagrees with the chosen "
+            f"profile points' utility {expected_utility}"
+        )
+
+
 @dataclass
 class IncrementalConfig:
-    """Tuning knobs for :class:`IncrementalSolver`.
+    """Tuning knobs for :class:`IncrementalSolver` and :func:`solve_bcc_sharded`.
 
     Attributes:
-        inner_solver: registry name of the per-shard solver.
+        inner_solver: registry name of the per-shard solver (any entry of
+            :mod:`repro.parallel.registry`).
         max_grid_points: per-shard budget-grid cap under a binding budget.
-        jobs: worker processes for dirty-shard fan-out (``None`` defers to
-            ``REPRO_JOBS``; tiny batches run serially either way).
+        jobs: worker processes for the shard fan-out (``None`` defers to
+            ``REPRO_JOBS``; tiny batches run serially either way).  Keep
+            at 1 when the caller itself runs inside a process pool.
         cache: optional :class:`ResultCache` shared with the task layer.
         certify: attach a first-principles certificate to every result.
         check_partition: run :meth:`DynamicPartition.check` after every
@@ -96,13 +168,11 @@ class ShardProfile:
 
     fingerprint: str
     total: float  #: saturation budget (sum of finite relevant costs)
-    grid: Tuple[float, ...]
-    points: Tuple[ProfilePoint, ...]
     solutions: Dict[str, Solution]  #: profile-point key → shard solution
 
 
 class IncrementalSolver:
-    """Stateful warm re-solver for a mutable BCC instance."""
+    """Stateful shard solver for a mutable BCC instance: cold, then warm."""
 
     def __init__(
         self,
@@ -116,7 +186,6 @@ class IncrementalSolver:
         self._partition: Optional[DynamicPartition] = None
         self._profiles: "OrderedDict[str, ShardProfile]" = OrderedDict()
         self._max_profiles = MAX_STORED_PROFILES
-        self._adopted: Dict[str, Tuple[Classifier, ...]] = {}
         self.last_solution: Optional[Solution] = None
         self.deltas_applied = 0
 
@@ -159,37 +228,6 @@ class IncrementalSolver:
         self.deltas_applied += 1
         return self._resolve(delta=delta)
 
-    def adopt(self, solution: Solution) -> int:
-        """Warm-start from a previous solution's per-shard selections.
-
-        Splits ``solution.classifiers`` by current shard and records each
-        shard's sub-selection; on the next non-binding re-plan a shard
-        whose profile is missing re-scores its adopted selection instead
-        of running the inner solver (exact when the adopting solve is the
-        one that produced ``solution``, since a saturated shard's
-        selection is budget-independent).  Returns the number of shards
-        seeded.  Binding-budget re-plans ignore adoptions — a grid point
-        cannot be reconstructed from a single selection.
-        """
-        if self._partition is None:
-            self._partition = DynamicPartition(self.instance)
-        partition, _ = self._partition.materialize()
-        per_shard: Dict[int, List[Classifier]] = {}
-        for classifier in solution.classifiers:
-            for query in self.instance.queries_containing(classifier):
-                per_shard.setdefault(
-                    partition.query_to_shard[query], []
-                ).append(classifier)
-                break
-        seeded = 0
-        for index, classifiers in per_shard.items():
-            fingerprint = workload_fingerprint(partition.shard_workload(index))
-            self._adopted[fingerprint] = tuple(
-                sorted(set(classifiers), key=sorted)
-            )
-            seeded += 1
-        return seeded
-
     # ------------------------------------------------------------------
     # the re-plan pipeline
     # ------------------------------------------------------------------
@@ -217,22 +255,21 @@ class IncrementalSolver:
 
         reused = [fp in self._profiles for fp in fingerprints]
         totals = [
-            self._profiles[fp].total if hit else _shard_finite_total(shard_at(index))
+            self._profiles[fp].total if hit else float(sum(_finite_costs(shard_at(index))))
             for index, (fp, hit) in enumerate(zip(fingerprints, reused))
         ]
 
         non_binding = sum(totals) <= budget + _TOL
         if non_binding:
-            # Solve saturated shards at the *global* budget (mirroring the
-            # cold sharded solver): the surplus slack keeps the inner
-            # solver on its cheap large-budget paths instead of the hard
-            # mid-k HkS regime a budget pinned at the saturation total
-            # forces.
+            # Every shard saturates independently, so each is solved once,
+            # at the *global* budget rather than its saturation total: the
+            # surplus slack keeps the inner solver on its cheap large-budget
+            # paths instead of the hard mid-k HkS regime a budget pinned at
+            # the saturation total forces.
             point = budget if math.isfinite(budget) else None
             grids: List[List[float]] = [
                 [total if point is None else point] for total in totals
             ]
-            adopted = self._adopt_missing(partition, fingerprints, totals, grids)
         else:
             # Grids are recomputed from shard content every time (cheap next
             # to a solve, and a profile stored on the non-binding path holds
@@ -245,7 +282,6 @@ class IncrementalSolver:
                 )
                 for index in range(partition.num_shards)
             ]
-            adopted = 0
 
         solved = self._solve_missing(shard_at, fingerprints, grids, totals)
 
@@ -318,7 +354,6 @@ class IncrementalSolver:
                     "dirty_shards": len(dirty_indexes),
                     "reused_profiles": sum(reused),
                     "solved_tasks": solved,
-                    "adopted_shards": adopted,
                     "path": path,
                     "grid_sizes": [len(grid) for grid in grids],
                 },
@@ -343,43 +378,6 @@ class IncrementalSolver:
         while len(self._profiles) > self._max_profiles:
             self._profiles.popitem(last=False)
 
-    def _adopt_missing(
-        self,
-        partition,
-        fingerprints: Sequence[str],
-        totals: Sequence[float],
-        grids: Sequence[Sequence[float]],
-    ) -> int:
-        """Materialize adopted selections into saturation-point profiles."""
-        adopted = 0
-        for index, (fp, total) in enumerate(zip(fingerprints, totals)):
-            if fp in self._profiles or fp not in self._adopted:
-                continue
-            selection = self._adopted.pop(fp)
-            point = grids[index][0]
-            shard_solution = evaluate(
-                partition.shard_instance(index, point),
-                selection,
-                meta={"algorithm": f"{self.config.inner_solver}[adopted]"},
-            )
-            self._store(
-                ShardProfile(
-                    fingerprint=fp,
-                    total=total,
-                    grid=(point,),
-                    points=(
-                        ProfilePoint(
-                            cost=shard_solution.cost,
-                            utility=shard_solution.utility,
-                            key=f"b={point!r}",
-                        ),
-                    ),
-                    solutions={f"b={point!r}": shard_solution},
-                )
-            )
-            adopted += 1
-        return adopted
-
     def _solve_missing(
         self,
         shard_at,
@@ -395,7 +393,7 @@ class IncrementalSolver:
         """
         config = self.config
         tasks: List[SolveTask] = []
-        owners: List[Tuple[str, float]] = []
+        owners: List[Tuple[str, int, float]] = []
         for index, (fp, grid) in enumerate(zip(fingerprints, grids)):
             profile = self._profiles.get(fp)
             for point in grid:
@@ -413,28 +411,20 @@ class IncrementalSolver:
                         certify=False,
                     )
                 )
-                owners.append((fp, point))
+                owners.append((fp, index, point))
         if tasks:
             jobs = effective_jobs(config.jobs, tasks)
             results = run_tasks(
                 tasks,
                 ParallelConfig(jobs=jobs, cache=config.cache, clock=config.clock),
             )
-            for (fp, point), result in zip(owners, results):
+            for (fp, index, point), result in zip(owners, results):
                 profile = self._profiles.get(fp)
                 if profile is None:
-                    index = fingerprints.index(fp)
                     profile = ShardProfile(
-                        fingerprint=fp,
-                        total=totals[index],
-                        grid=tuple(grids[index]),
-                        points=(),
-                        solutions={},
+                        fingerprint=fp, total=totals[index], solutions={}
                     )
                 profile.solutions[f"b={point!r}"] = result.solution
-                profile.grid = tuple(
-                    sorted(set(profile.grid) | {point})
-                )
                 self._store(profile)
         return len(tasks)
 
@@ -476,23 +466,44 @@ class IncrementalSolver:
             )
 
 
-def resolve_delta(
+def solve_bcc_sharded(
     instance: BCCInstance,
-    prev_solution: Optional[Solution],
-    delta: WorkloadDelta,
     config: Optional[IncrementalConfig] = None,
     seed: Optional[int] = None,
 ) -> Solution:
-    """One-shot warm re-plan: apply ``delta`` to ``instance`` and re-solve.
+    """Solve ``instance`` by decomposition into independent shards.
 
-    Functional wrapper over :class:`IncrementalSolver` for callers that
-    do not keep a solver alive: ``prev_solution`` (when given) seeds the
-    per-shard profile store via :meth:`IncrementalSolver.adopt`, so under
-    a non-binding budget only the shards the delta touches run the inner
-    solver.  ``instance`` is mutated in place; the returned solution is
-    identical to a cold solve of the mutated instance.
+    Drop-in alternative to :func:`~repro.algorithms.bcc.solve_bcc`: a
+    cold :class:`IncrementalSolver` solve, certified when
+    ``config.certify`` is set.  ``seed`` feeds the per-shard derived seeds
+    of randomized inner solvers; deterministic inner solvers ignore it.
+
+    A one-shard instance runs the inner solver once on the whole instance
+    instead: under a binding budget the grid pipeline would solve up to
+    ``max_grid_points`` budgets of that same instance and can pick a
+    different selection than the inner solver does.
     """
-    solver = IncrementalSolver(instance, config=config, seed=seed)
-    if prev_solution is not None:
-        solver.adopt(prev_solution)
-    return solver.resolve_delta(delta)
+    started = time.perf_counter()
+    solver = IncrementalSolver(instance, config, seed)
+    solver._partition = DynamicPartition(instance)
+    if solver._partition.num_components > 1:
+        return solver._resolve(delta=None)
+
+    from repro.parallel.registry import get_solver
+
+    config = solver.config
+    solution = get_solver(config.inner_solver)(instance, seed, config.certify)
+    meta = dict(solution.meta)
+    meta["incremental"] = {
+        "version": getattr(instance, "version", 0),
+        "deltas_applied": 0,
+        "delta_edits": 0,
+        "shards": 1,
+        "dirty_shards": 1,
+        "reused_profiles": 0,
+        "solved_tasks": 1,
+        "path": "monolithic-fallback",
+        "grid_sizes": [1],
+    }
+    meta["runtime_sec"] = time.perf_counter() - started
+    return replace(solution, meta=meta)

@@ -9,7 +9,8 @@ delta* adds up when re-planning after every workload edit.
   query's component unions with every component sharing a usable
   property, cost proportional to the query size;
 - **deletes** trigger a *local* rebuild of the removed query's component
-  only (union-find cannot un-union), a mini connected-components pass
+  only (union-find cannot un-union): the shared
+  :func:`~repro.decompose.partition.connected_components` routine re-run
   over that component's members;
 - **cost reprices** that may flip a property's usability merge (newly
   finite) or locally rebuild (newly infinite) the components touching
@@ -34,8 +35,9 @@ from typing import Dict, Iterable, Set, Tuple
 from repro.core.model import Classifier, ClassifierWorkload, Query
 from repro.decompose.partition import (
     WorkloadPartition,
-    _property_usable,
+    connected_components,
     partition_workload,
+    property_usable,
 )
 
 
@@ -107,9 +109,9 @@ class DynamicPartition:
     def _rebuild_local(self, members: Set[Query]) -> None:
         """Re-split ``members`` into components (post-deletion / cost kill).
 
-        A mini connected-components pass over just these queries, using
-        only usable properties — the rest of the partition is untouched.
-        All resulting components are fresh ids and dirty.
+        :func:`connected_components` over just these queries, joined by
+        their usable shared properties — the rest of the partition is
+        untouched.  All resulting components are fresh ids and dirty.
         """
         for query in members:
             old = self._member.pop(query)
@@ -121,28 +123,16 @@ class DynamicPartition:
                     self._dirty.discard(old)
                 else:
                     self._dirty.add(old)
-        usable_cache: Dict[str, bool] = {}
-        remaining = set(members)
-        while remaining:
-            seed = remaining.pop()
-            group = {seed}
-            frontier = [seed]
-            while frontier:
-                query = frontier.pop()
-                for prop in query:
-                    usable = usable_cache.get(prop)
-                    if usable is None:
-                        usable = usable_cache[prop] = _property_usable(
-                            self.workload, prop
-                        )
-                    if not usable:
-                        continue
-                    for other in self._prop_queries.get(prop, ()):
-                        if other in remaining:
-                            remaining.discard(other)
-                            group.add(other)
-                            frontier.append(other)
+        ordered = list(members)
+        index = {query: position for position, query in enumerate(ordered)}
+        rows = []
+        for prop in {prop for query in ordered for prop in query}:
+            row = [index[q] for q in self._prop_queries.get(prop, ()) if q in index]
+            if len(row) > 1 and property_usable(self.workload, prop):
+                rows.append(row)
+        for component in connected_components(len(ordered), rows):
             cid = self._fresh_id()
+            group = {ordered[position] for position in component}
             self._components[cid] = group
             for query in group:
                 self._member[query] = cid
@@ -162,7 +152,7 @@ class DynamicPartition:
         neighbours = {cid}
         for prop in query:
             peers = self._prop_queries[prop]
-            if len(peers) < 2 or not _property_usable(self.workload, prop):
+            if len(peers) < 2 or not property_usable(self.workload, prop):
                 continue
             neighbours.update(self._member[other] for other in peers)
         if len(neighbours) > 1:
@@ -210,7 +200,7 @@ class DynamicPartition:
             # Possibly newly-usable properties: union per shared property.
             for prop in classifier:
                 peers = self._prop_queries.get(prop, ())
-                if len(peers) < 2 or not _property_usable(self.workload, prop):
+                if len(peers) < 2 or not property_usable(self.workload, prop):
                     continue
                 cids = {self._member[other] for other in peers}
                 if len(cids) > 1:
@@ -222,7 +212,7 @@ class DynamicPartition:
                 prop
                 for prop in classifier
                 if len(self._prop_queries.get(prop, ())) > 1
-                and not _property_usable(self.workload, prop)
+                and not property_usable(self.workload, prop)
             ]
             if died:
                 members: Set[Query] = set()
@@ -258,10 +248,7 @@ class DynamicPartition:
             index for index, (cid, _) in enumerate(ordered) if cid in self._dirty
         )
         partition = WorkloadPartition(
-            workload=self.workload,
-            shards=shards,
-            query_to_shard=query_to_shard,
-            dead_properties=(),
+            workload=self.workload, shards=shards, query_to_shard=query_to_shard
         )
         return partition, dirty
 

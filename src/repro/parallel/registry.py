@@ -128,10 +128,10 @@ def _ig2_bcc(instance, seed=None, certify=False):
 def _abcc_sharded(instance, seed=None, certify=False):
     # jobs=1: registry solvers already run inside pool workers, so the
     # shard fan-out must not open a nested process pool.
-    from repro.decompose import ShardedConfig, solve_bcc_sharded
+    from repro.incremental import IncrementalConfig, solve_bcc_sharded
 
     return solve_bcc_sharded(
-        instance, ShardedConfig(jobs=1), certify=certify, seed=seed
+        instance, IncrementalConfig(jobs=1, certify=certify), seed=seed
     )
 
 

@@ -1,8 +1,9 @@
 """Phase-attribution profiling for the solver hot paths.
 
-A :class:`PhaseProfiler` accumulates wall-seconds per named phase (from an
-injectable monotonic clock, so tests can drive it deterministically) plus
-free-form integer counters (probe counts, transpose rebuilds, memo hits).
+A :class:`PhaseProfiler` accumulates seconds per named phase (read from an
+injected :class:`~repro.parallel.clock.Clock`, so tests can drive it
+deterministically) plus free-form integer counters (probe counts,
+transpose rebuilds, memo hits).
 ``solve_bcc``, the tracker probe paths, and the HkS portfolio report into
 whichever profiler is *active*; when none is, every hook is a single
 ``is None`` test — near-zero overhead on the paths this module exists to
@@ -24,9 +25,11 @@ result cache never sees profiling noise.
 from __future__ import annotations
 
 import os
-import time
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
+
+if TYPE_CHECKING:  # importing repro.parallel here would be circular
+    from repro.parallel.clock import Clock
 
 __all__ = [
     "PhaseProfiler",
@@ -36,8 +39,6 @@ __all__ = [
     "add_count",
     "profiling_enabled",
 ]
-
-Clock = Callable[[], float]
 
 
 class PhaseProfiler:
@@ -50,7 +51,11 @@ class PhaseProfiler:
     """
 
     def __init__(self, clock: Optional[Clock] = None) -> None:
-        self.clock: Clock = clock if clock is not None else time.perf_counter
+        if clock is None:
+            from repro.parallel.clock import SYSTEM_CLOCK
+
+            clock = SYSTEM_CLOCK
+        self.clock = clock
         self.seconds: Dict[str, float] = {}
         self.calls: Dict[str, int] = {}
         self.counts: Dict[str, int] = {}
@@ -60,11 +65,11 @@ class PhaseProfiler:
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
-        start = self.clock()
+        start = self.clock.now()
         try:
             yield
         finally:
-            elapsed = self.clock() - start
+            elapsed = self.clock.now() - start
             self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
             self.calls[name] = self.calls.get(name, 0) + 1
 

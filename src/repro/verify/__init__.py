@@ -25,7 +25,6 @@ from repro.verify.certificate import (
     SolutionCertificate,
     attach_certificate,
     build_certificate,
-    compose_certificates,
     verify_solution,
 )
 from repro.verify.corpus import CorpusCase, corpus, corpus_cases
@@ -54,7 +53,6 @@ __all__ = [
     "build_certificate",
     "verify_solution",
     "attach_certificate",
-    "compose_certificates",
     "CorpusCase",
     "corpus",
     "corpus_cases",

@@ -321,55 +321,6 @@ def _verify_certificate(
         )
 
 
-def compose_certificates(
-    workload: ClassifierWorkload,
-    certificates: Iterable[SolutionCertificate],
-) -> SolutionCertificate:
-    """Merge per-shard certificates into one workload-level certificate.
-
-    The shards of a workload decomposition select disjoint classifier
-    sets and witness disjoint query sets, so composition is a union:
-    classifiers re-sorted canonically with their itemised costs
-    re-aligned, witness and utility maps merged, totals summed.  The
-    result is an ordinary :class:`SolutionCertificate` — it passes
-    :func:`verify_solution` against the undecomposed workload unchanged.
-
-    Raises :class:`WitnessCertificateError` if two certificates witness
-    the same query or disagree on a shared classifier's cost — either
-    means the inputs did not come from a true decomposition.
-    """
-    costs: Dict[Classifier, float] = {}
-    witnesses: Dict[Query, Tuple[Classifier, ...]] = {}
-    utilities: Dict[Query, float] = {}
-    for certificate in certificates:
-        for classifier, cost in zip(certificate.classifiers, certificate.item_costs):
-            known = costs.get(classifier)
-            if known is not None and not _close(known, cost):
-                raise WitnessCertificateError(
-                    f"shard certificates disagree on the cost of "
-                    f"{sorted(map(str, classifier))}: {known} vs {cost}"
-                )
-            costs[classifier] = cost
-        for query, witness in certificate.witnesses.items():
-            if query in witnesses:
-                raise WitnessCertificateError(
-                    f"query {sorted(map(str, query))} witnessed by two shard "
-                    f"certificates — shards are not independent"
-                )
-            witnesses[query] = witness
-            utilities[query] = certificate.query_utilities[query]
-    ordered = tuple(sorted(costs, key=_canon))
-    item_costs = tuple(costs[classifier] for classifier in ordered)
-    return SolutionCertificate(
-        classifiers=ordered,
-        item_costs=item_costs,
-        total_cost=sum(item_costs),
-        witnesses=witnesses,
-        query_utilities=utilities,
-        total_utility=sum(utilities.values()),
-    )
-
-
 def attach_certificate(
     workload: ClassifierWorkload,
     solution: Solution,

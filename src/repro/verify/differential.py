@@ -138,9 +138,9 @@ def _brute(instance: BCCInstance) -> Solution:
 def _abcc_sharded(instance: BCCInstance) -> Solution:
     """Decompose-solve-recombine arm (jobs=1: the harness may itself run
     inside a pool worker)."""
-    from repro.decompose import ShardedConfig, solve_bcc_sharded
+    from repro.incremental import IncrementalConfig, solve_bcc_sharded
 
-    return solve_bcc_sharded(instance, ShardedConfig(jobs=1))
+    return solve_bcc_sharded(instance, IncrementalConfig(jobs=1, certify=False))
 
 
 def default_arms() -> List[SolverArm]:

@@ -3,9 +3,10 @@
 Structural invariants of :func:`repro.decompose.partition_workload`
 (shards partition ``Q``, no usable classifier crosses shards, engines
 agree), exactness of the allocator (grouped DP vs. pareto merge), and
-end-to-end guarantees of :func:`repro.decompose.solve_bcc_sharded`
+end-to-end guarantees of :func:`repro.incremental.solve_bcc_sharded`
 (feasibility, certificates, ≥-monolithic utility on the seeded corpus,
-exact equality when the budget is non-binding).
+exact equality when the budget is non-binding, the one-shard fallback
+and shard tasks served from a shared result cache).
 """
 
 from __future__ import annotations
@@ -19,22 +20,27 @@ from hypothesis import strategies as st
 from repro.algorithms.bcc import solve_bcc
 from repro.core import BCCInstance, from_letters as fs
 from repro.core.bitset import use_engine
+from repro.datasets.fragmented import generate_fragmented
 from repro.decompose import (
     ProfilePoint,
-    ShardedConfig,
     allocate,
     budget_grid,
     pareto_profile,
     partition_workload,
-    solve_bcc_sharded,
 )
 from repro.decompose.allocator import _pareto_allocate
+from repro.incremental import IncrementalConfig, solve_bcc_sharded
+from repro.parallel import registry
+from repro.parallel.cache import ResultCache
 from repro.verify.certificate import verify_solution
 from repro.verify.corpus import corpus
 
 from .strategies import bcc_instances, solvable_instances
 
 _TOL = 1e-9
+
+#: Serial and uncertified unless a test asks otherwise.
+_SERIAL = IncrementalConfig(jobs=1, certify=False)
 
 
 def _saturation_budget(instance: BCCInstance) -> float:
@@ -84,7 +90,6 @@ def test_partition_is_engine_identical(instance):
     with use_engine("bits"):
         bits_partition = partition_workload(instance)
     assert sets_partition.shards == bits_partition.shards
-    assert sets_partition.dead_properties == bits_partition.dead_properties
 
 
 @given(instance=bcc_instances())
@@ -102,7 +107,7 @@ def test_shard_workloads_preserve_semantics(instance):
 
 def test_dead_properties_do_not_merge_shards():
     # 'x' is shared by both queries but every classifier testing it is
-    # infinite, so it cannot couple them: two shards, 'x' reported dead.
+    # infinite, so it cannot couple them: two shards.
     queries = [fs("ax"), fs("bx")]
     utilities = {fs("ax"): 4.0, fs("bx"): 2.0}
     costs = {
@@ -115,7 +120,6 @@ def test_dead_properties_do_not_merge_shards():
     instance = BCCInstance(queries, utilities, costs, budget=10.0)
     partition = partition_workload(instance)
     assert partition.num_shards == 2
-    assert partition.dead_properties == ("x",)
 
 
 def test_shared_finite_pair_merges_even_with_infinite_singleton():
@@ -233,7 +237,7 @@ def test_allocate_falls_back_to_pareto_merge_on_float_costs():
 @given(instance=solvable_instances())
 def test_sharded_solution_is_feasible_and_certified(instance):
     solution = solve_bcc_sharded(
-        instance, ShardedConfig(jobs=1), certify=True, seed=11
+        instance, IncrementalConfig(jobs=1, certify=True), seed=11
     )
     assert solution.cost <= instance.budget + _TOL
     certificate = solution.meta["certificate"]
@@ -243,28 +247,76 @@ def test_sharded_solution_is_feasible_and_certified(instance):
 @pytest.mark.parametrize("case", corpus(seeds=range(2)), ids=lambda c: c.name)
 def test_sharded_never_below_monolithic_on_corpus(case):
     monolithic = solve_bcc(case.instance)
-    sharded = solve_bcc_sharded(case.instance, ShardedConfig(jobs=1), seed=3)
+    sharded = solve_bcc_sharded(case.instance, _SERIAL, seed=3)
     assert sharded.utility >= monolithic.utility - _TOL
     assert sharded.cost <= case.instance.budget + _TOL
 
 
-@pytest.mark.parametrize("case", corpus(seeds=range(2)), ids=lambda c: c.name)
-def test_sharded_equals_monolithic_when_budget_non_binding(case):
-    instance = case.instance.with_budget(_saturation_budget(case.instance) + 1.0)
+def _fragmented_6x30() -> BCCInstance:
+    """A 27-shard fragmented workload at a budget far above saturation."""
+    return generate_fragmented(6, 30, budget=1e6, seed=3)
+
+
+_NON_BINDING = [
+    pytest.param(
+        case.instance.with_budget(_saturation_budget(case.instance) + 1.0),
+        id=case.name,
+    )
+    for case in corpus(seeds=range(2))
+] + [pytest.param(_fragmented_6x30(), id="fragmented-6x30")]
+
+
+@pytest.mark.parametrize("instance", _NON_BINDING)
+def test_sharded_equals_monolithic_when_budget_non_binding(instance):
     monolithic = solve_bcc(instance)
-    sharded = solve_bcc_sharded(instance, ShardedConfig(jobs=1), seed=3)
+    sharded = solve_bcc_sharded(instance, _SERIAL, seed=3)
     assert sharded.utility == pytest.approx(monolithic.utility)
-    decompose = sharded.meta["decompose"]
-    if decompose["shards"] > 1:
-        assert decompose["path"] == "non-binding"
+    info = sharded.meta["incremental"]
+    if info["shards"] > 1:
+        assert info["path"] == "non-binding"
 
 
 def test_single_shard_degrades_to_monolithic(fig1_b4):
-    solution = solve_bcc_sharded(fig1_b4, ShardedConfig(jobs=1))
+    solution = solve_bcc_sharded(fig1_b4, _SERIAL)
     monolithic = solve_bcc(fig1_b4)
     assert solution.utility == pytest.approx(monolithic.utility)
     assert solution.classifiers == monolithic.classifiers
-    assert solution.meta["decompose"]["path"] == "monolithic-fallback"
+    assert solution.meta["incremental"]["path"] == "monolithic-fallback"
+
+
+def test_single_shard_runs_the_inner_solver_once_on_the_whole_instance(
+    fig1_b4, monkeypatch
+):
+    # At this binding budget the shard pipeline would solve a grid of
+    # budgets on a copy of the shard; the fallback makes one direct call.
+    inner = registry.get_solver("abcc")
+    calls = []
+
+    def spy(instance, seed=None, certify=False):
+        calls.append(instance)
+        return inner(instance, seed, certify)
+
+    monkeypatch.setitem(registry._SOLVERS, "abcc", spy)
+    solution = solve_bcc_sharded(fig1_b4, _SERIAL, seed=3)
+    assert len(calls) == 1 and calls[0] is fig1_b4
+    monolithic = solve_bcc(fig1_b4)
+    assert solution.classifiers == monolithic.classifiers
+    assert (solution.utility, solution.cost) == (monolithic.utility, monolithic.cost)
+
+
+def test_same_budget_resolve_serves_every_shard_task_from_the_cache(tmp_path):
+    instance = _fragmented_6x30()
+    cache = ResultCache(directory=tmp_path)
+    config = IncrementalConfig(jobs=1, cache=cache, certify=False)
+    first = solve_bcc_sharded(instance, config, seed=3)
+    tasks = first.meta["incremental"]["solved_tasks"]
+    assert tasks == first.meta["incremental"]["shards"] == 27
+    assert (cache.stats.hits, cache.stats.stores) == (0, tasks)
+    second = solve_bcc_sharded(instance, config, seed=3)
+    assert second.meta["incremental"]["solved_tasks"] == tasks
+    assert (cache.stats.hits, cache.stats.stores) == (tasks, tasks)
+    assert second.classifiers == first.classifiers
+    assert (second.utility, second.cost) == (first.utility, first.cost)
 
 
 def test_sharded_meta_records_the_decomposition():
@@ -272,11 +324,12 @@ def test_sharded_meta_records_the_decomposition():
     utilities = {q: 5.0 for q in queries}
     costs = {fs(x): 2.0 for x in "abcdef"}
     instance = BCCInstance(queries, utilities, costs, budget=4.0)
-    solution = solve_bcc_sharded(instance, ShardedConfig(jobs=1), seed=0)
-    decompose = solution.meta["decompose"]
-    assert decompose["shards"] == 3
-    assert decompose["tasks"] >= 3
-    assert len(decompose["shard_budgets"]) == 3
+    solution = solve_bcc_sharded(instance, _SERIAL, seed=0)
+    info = solution.meta["incremental"]
+    assert info["shards"] == info["dirty_shards"] == 3
+    assert info["reused_profiles"] == 0
+    assert info["solved_tasks"] == sum(info["grid_sizes"]) >= 3
+    assert len(info["grid_sizes"]) == 3
     assert solution.cost <= 4.0 + _TOL
 
 
@@ -288,7 +341,7 @@ def test_sharded_certificates_verify_under_both_engines():
     for engine in ("sets", "bits"):
         with use_engine(engine):
             solution = solve_bcc_sharded(
-                instance, ShardedConfig(jobs=1), certify=True
+                instance, IncrementalConfig(jobs=1, certify=True)
             )
             verify_solution(
                 instance,

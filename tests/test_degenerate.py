@@ -20,13 +20,15 @@ from repro.algorithms.gmc3 import solve_gmc3
 from repro.core import BCCInstance, ECCInstance, GMC3Instance, from_letters as fs
 from repro.core.bitset import ENGINES, use_engine
 from repro.core.errors import InfeasibleTargetError, InvalidInstanceError
-from repro.decompose import ShardedConfig, solve_bcc_sharded
+from repro.incremental import IncrementalConfig, solve_bcc_sharded
 
 _TOL = 1e-9
 
 
 def _sharded(instance):
-    return solve_bcc_sharded(instance, ShardedConfig(jobs=1), seed=0)
+    return solve_bcc_sharded(
+        instance, IncrementalConfig(jobs=1, certify=False), seed=0
+    )
 
 
 BCC_SOLVERS = [
@@ -276,4 +278,4 @@ def test_sharded_zero_budget_many_shards_meta():
     )
     solution = _sharded(instance)
     assert solution.utility == 0.0
-    assert solution.meta["decompose"]["shards"] == 3
+    assert solution.meta["incremental"]["shards"] == 3

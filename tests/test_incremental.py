@@ -17,8 +17,7 @@ from repro.core.errors import (
     StaleWorkloadError,
 )
 from repro.datasets.fragmented import generate_fragmented
-from repro.decompose import ShardedConfig, partition_workload, solve_bcc_sharded
-from repro.decompose.solver import TINY_SHARD_QUERIES, effective_jobs
+from repro.decompose import partition_workload
 from repro.incremental import engine as engine_module
 from repro.incremental import (
     DynamicPartition,
@@ -26,8 +25,9 @@ from repro.incremental import (
     IncrementalSolver,
     WorkloadDelta,
     random_delta,
-    resolve_delta,
+    solve_bcc_sharded,
 )
+from repro.incremental.engine import TINY_SHARD_QUERIES, effective_jobs
 from repro.parallel.fingerprint import instance_fingerprint, workload_fingerprint
 from repro.parallel.pool import SolveTask
 from repro.verify.incremental import check_delta_stream, random_delta_stream
@@ -306,12 +306,20 @@ class TestEffectiveJobs:
         assert effective_jobs(64, tasks) <= min(os.cpu_count() or 1, len(tasks))
         assert effective_jobs(1, tasks) == 1
 
-    def test_sharded_meta_records_effective_jobs(self):
+    def test_sharded_meta_records_effective_jobs(self, monkeypatch):
         instance = generate_fragmented(
             n_components=3, queries_per_component=4, budget=50.0, seed=1
         )
-        solution = solve_bcc_sharded(instance, ShardedConfig(jobs=8))
-        assert solution.meta["decompose"]["jobs"] == 1  # tiny shards → serial
+        run_tasks = engine_module.run_tasks
+        jobs = []
+
+        def spy(tasks, config):
+            jobs.append(config.jobs)
+            return run_tasks(tasks, config)
+
+        monkeypatch.setattr(engine_module, "run_tasks", spy)
+        solve_bcc_sharded(instance, IncrementalConfig(jobs=8, certify=False))
+        assert jobs == [1]  # tiny shards → serial
 
 
 class TestIncrementalEngine:
@@ -387,19 +395,6 @@ class TestIncrementalEngine:
             assert warm.classifiers == cold.classifiers
             assert (warm.utility, warm.cost) == (cold.utility, cold.cost)
         assert len(stored) > solver._max_profiles  # eviction really ran
-
-    def test_functional_resolve_delta_with_adoption(self):
-        instance = generate_fragmented(
-            n_components=3, queries_per_component=6, budget=1e6, seed=12
-        )
-        prev = IncrementalSolver(instance.clone(), self.CFG).solve()
-        mutable = instance.clone()
-        delta = random_delta(mutable, random.Random(4), fraction=0.08)
-        warm = resolve_delta(mutable, prev, delta, config=self.CFG)
-        assert warm.meta["incremental"]["adopted_shards"] > 0
-        cold = IncrementalSolver(mutable.clone(), self.CFG).solve()
-        assert warm.classifiers == cold.classifiers
-        assert (warm.utility, warm.cost) == (cold.utility, cold.cost)
 
     def test_check_delta_stream_harness(self):
         instance = generate_fragmented(

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import BCCInstance, from_letters as fs
+from repro.parallel.clock import Clock
 from repro.profile import (
     PhaseProfiler,
     activate,
@@ -13,16 +14,16 @@ from repro.profile import (
 )
 
 
-class FakeClock:
+class FakeClock(Clock):
     """Deterministic monotonic clock: each read advances by `step`."""
 
     def __init__(self, step: float = 1.0) -> None:
-        self.now = 0.0
+        self.time = 0.0
         self.step = step
 
-    def __call__(self) -> float:
-        value = self.now
-        self.now += self.step
+    def now(self) -> float:
+        value = self.time
+        self.time += self.step
         return value
 
 
