@@ -211,19 +211,3 @@ class ResidualProblem:
         gain = self.tracker.probe_gain(addition)
         self.stats["rebuilds_avoided"] += 1
         return gain, cost
-
-    def _rebuild_evaluate_gain(
-        self, classifiers: Iterable[Classifier]
-    ) -> Tuple[float, float]:
-        """Legacy gain evaluation rebuilding a fresh tracker per call.
-
-        Kept only as the "before" arm of ``bench_coverage_engine``; the
-        solver always uses :meth:`evaluate_gain`.
-        """
-        addition = [c for c in classifiers if c not in self.tracker.selected]
-        cost = sum(self.workload.cost(c) for c in addition)
-        probe = CoverageTracker(self.workload)
-        probe.add_all(self.tracker.selected)
-        before = probe.utility
-        probe.add_all(addition)
-        return probe.utility - before, cost

@@ -67,14 +67,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="do not write runtime observations back to the store",
     )
     parser.add_argument(
-        "--seed-stats",
-        metavar="BENCH_JSON",
-        default=None,
-        help="seed the arm-stats store from a benchmark file's "
-        "arm_observations (e.g. benchmarks/BENCH_hotpath.json) before "
-        "solving, so the schedule reflects freshly measured runtimes",
-    )
-    parser.add_argument(
         "--json", metavar="PATH", help="also write the telemetry as JSON"
     )
     args = parser.parse_args(argv)
@@ -100,17 +92,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     else:
         stats = default_stats_store(Path(args.stats) if args.stats else None)
         config = SloConfig(stats=stats, record=not args.no_record)
-
-    if args.seed_stats:
-        from repro.slo.stats import seed_store_from_bench
-
-        try:
-            seeded = seed_store_from_bench(stats, Path(args.seed_stats))
-        except ValueError as exc:
-            print(f"--seed-stats failed: {exc}", file=sys.stderr)
-            return 2
-        stats.save()
-        print(f"seeded {seeded} observation(s) from {args.seed_stats}")
 
     solver = AnytimeMetaSolver(config)
     solution = solver.solve(workload, deadline_ms=args.deadline_ms)

@@ -188,50 +188,6 @@ class ArmStatsStore:
         return TIER_PRIOR_SECONDS[solver_tier(arm)]
 
 
-def seed_store_from_bench(store: ArmStatsStore, bench_path: Path) -> int:
-    """Seed ``store`` from a benchmark file's ``arm_observations`` rows.
-
-    The hotpath benchmark (``benchmarks/bench_hotpath.py`` →
-    ``BENCH_hotpath.json``) records every timed end-to-end solve as an
-    ``{"arm", "engine", "features", "seconds", "utility"}`` row; replaying
-    those into the store makes :class:`~repro.slo.meta.AnytimeMetaSolver`
-    schedules reflect *post-optimization* runtimes instead of stale priors
-    the moment a kernel change lands.  Returns the number of observations
-    recorded.  Raises :class:`ValueError` for a missing/malformed file —
-    unlike background store loads, seeding is an explicit operator action
-    and silent degradation would hide a bad path.
-    """
-    bench_path = Path(bench_path)
-    try:
-        payload = json.loads(bench_path.read_text())
-    except OSError as exc:
-        raise ValueError(f"cannot read benchmark file {bench_path}: {exc}") from exc
-    except ValueError as exc:
-        raise ValueError(f"benchmark file {bench_path} is not JSON: {exc}") from exc
-    rows = payload.get("arm_observations") if isinstance(payload, dict) else None
-    if not isinstance(rows, list):
-        raise ValueError(
-            f"benchmark file {bench_path} has no 'arm_observations' list; "
-            "re-run benchmarks/bench_hotpath.py to produce one"
-        )
-    seeded = 0
-    for row in rows:
-        try:
-            store.record(
-                str(row["arm"]),
-                str(row["engine"]),
-                tuple(float(f) for f in row["features"]),
-                float(row["seconds"]),
-                float(row["utility"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(
-                f"malformed arm_observations row in {bench_path}: {row!r} ({exc})"
-            ) from exc
-        seeded += 1
-    return seeded
-
-
 def default_stats_store(path: Optional[str] = None) -> ArmStatsStore:
     """The environment-configured store (``REPRO_ARM_STATS`` overrides).
 

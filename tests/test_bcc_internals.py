@@ -2,9 +2,13 @@
 MC3 improvement, swap polish)."""
 
 import math
+import random
+
+import pytest
 
 from repro.algorithms.bcc import (
     _SINGLETON_BONUS,
+    AbccConfig,
     _augment_with_singleton_bonus,
     _cover_greedy_pick,
     _mc3_improve,
@@ -12,6 +16,9 @@ from repro.algorithms.bcc import (
 )
 from repro.algorithms.residual import ResidualProblem
 from repro.core import BCCInstance, from_letters as fs
+from repro.core.bitset import ENGINES, use_engine
+from repro.core.model import powerset_classifiers
+from repro.datasets.synthetic import generate_synthetic
 
 
 class TestBonusAugmentation:
@@ -182,3 +189,118 @@ class TestSwapPolish:
         start = {fs("xyz")}
         polished = _swap_polish(fig1_b4, start, frozenset(), eval_cap=0)
         assert polished == start
+
+
+def _reference_swap_polish(instance, selection, allowed, eval_cap):
+    """Reference swap polish: re-enumerates ``2^q`` per query per trial.
+
+    Coverage is tested from first principles on every trial, so no state
+    carries over between accepted swaps.  :func:`_swap_polish` keeps a
+    contributor map across swaps instead and must accept the same swaps
+    in the same order.
+    """
+
+    def is_covered(query, chosen):
+        remaining = set(query)
+        for c in powerset_classifiers(query):
+            if c in chosen:
+                remaining -= c
+                if not remaining:
+                    return True
+        return not remaining
+
+    current = set(selection)
+    spent = sum(instance.cost(c) for c in current)
+
+    def swap_delta(out, incoming):
+        affected = set(instance.queries_containing(incoming))
+        if out is not None:
+            affected |= set(instance.queries_containing(out))
+        trial = (current - {out}) | {incoming} if out else current | {incoming}
+        delta = 0.0
+        for query in affected:
+            before = is_covered(query, current)
+            after = is_covered(query, trial)
+            if before != after:
+                delta += instance.utility(query) * (1.0 if after else -1.0)
+        return delta
+
+    gain_hint = {}
+    for query in instance.queries:
+        utility = instance.utility(query)
+        for c in powerset_classifiers(query):
+            if c in allowed and c not in current:
+                gain_hint[c] = gain_hint.get(c, 0.0) + utility
+    candidates = sorted(
+        gain_hint,
+        key=lambda c: (-gain_hint[c] / max(instance.cost(c), 1e-12), sorted(c)),
+    )[:60]
+
+    trials = 0
+    improved = True
+    while improved and trials < eval_cap:
+        improved = False
+        marginal = {}
+        for out in current:
+            if instance.cost(out) <= 0:
+                continue
+            loss = 0.0
+            for query in instance.queries_containing(out):
+                if is_covered(query, current) and not is_covered(query, current - {out}):
+                    loss += instance.utility(query)
+            marginal[out] = loss
+        removable = sorted(
+            marginal,
+            key=lambda c: (marginal[c] / max(instance.cost(c), 1e-12), sorted(c)),
+        )[:10]
+        for out in removable:
+            refund = instance.cost(out)
+            for incoming in candidates:
+                if incoming in current:
+                    continue
+                cost_in = instance.cost(incoming)
+                if spent - refund + cost_in > instance.budget + 1e-9:
+                    continue
+                if trials >= eval_cap:
+                    break
+                trials += 1
+                delta = swap_delta(out, incoming)
+                if delta > 1e-9:
+                    current = (current - {out}) | {incoming}
+                    spent = spent - refund + cost_in
+                    improved = True
+                    break
+            if improved:
+                break
+    return current
+
+
+def _random_feasible_start(instance, allowed, seed):
+    """A random selection from ``allowed`` that fits the budget."""
+    pool = sorted(allowed, key=sorted)
+    random.Random(seed).shuffle(pool)
+    start, spent = set(), 0.0
+    for classifier in pool:
+        if spent + instance.cost(classifier) <= instance.budget:
+            start.add(classifier)
+            spent += instance.cost(classifier)
+    return start
+
+
+class TestSwapPolishReference:
+    """``_swap_polish`` equals the stateless reference on random starts.
+
+    Accepted swaps must update the contributor map; a stale entry makes
+    a later trial misjudge coverage, which only a multi-swap run shows.
+    """
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_matches_reference_from_random_start(self, engine, seed):
+        instance = generate_synthetic(80, 40, budget=150.0, seed=seed)
+        allowed = frozenset(instance.feasible_classifiers())
+        start = _random_feasible_start(instance, allowed, seed)
+        cap = AbccConfig().polish_eval_cap
+        with use_engine(engine):
+            polished = _swap_polish(instance, set(start), allowed, cap)
+        assert polished == _reference_swap_polish(instance, start, allowed, cap)

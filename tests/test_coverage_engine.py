@@ -9,6 +9,7 @@ recomputed costs instead of being dropped).
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,24 @@ from hypothesis import strategies as st
 from repro.algorithms.bcc import _cover_greedy_pick
 from repro.algorithms.residual import ResidualProblem
 from repro.core import BCCInstance, CoverageTracker, from_letters as fs
+from repro.core.bitset import ENGINES, use_engine
+from repro.datasets.synthetic import generate_synthetic
 from tests.strategies import solvable_instances, wide_bcc_instances
+
+
+def _rebuild_gain(residual, classifiers):
+    """Reference gain: a fresh tracker rebuilt from the current selection.
+
+    :meth:`ResidualProblem.evaluate_gain` must return the same
+    ``(utility gain, cost)`` from its in-place probe.
+    """
+    addition = [c for c in classifiers if c not in residual.tracker.selected]
+    cost = sum(residual.workload.cost(c) for c in addition)
+    probe = CoverageTracker(residual.workload)
+    probe.add_all(residual.tracker.selected)
+    before = probe.utility
+    probe.add_all(addition)
+    return probe.utility - before, cost
 
 
 def _snapshot(tracker):
@@ -185,12 +203,35 @@ class TestEngineCounters:
         assert (gain, cost) == (8.0, 5.0)
 
     def test_evaluate_gain_matches_rebuild(self, fig1_b11):
-        residual = ResidualProblem(fig1_b11)
-        residual.select([fs("yz")])
-        for trial in ([fs("x")], [fs("xz")], [fs("x"), fs("y")], []):
-            assert residual.evaluate_gain(trial) == residual._rebuild_evaluate_gain(
-                trial
-            )
+        """Every engine, two cases: Figure 1 with hand-picked trials, and
+        single and slate probes of the synthetic classifiers in the most
+        queries.  Their long inverted-index rows send ``bits`` probes
+        through the transposed kernel, where slate members share
+        properties.
+        """
+        synthetic = generate_synthetic(300, 30, budget=300.0, seed=0)
+        pool = sorted(
+            synthetic.feasible_classifiers(),
+            key=lambda c: (-len(synthetic.queries_containing(c)), sorted(c)),
+        )[:40]
+        rng = random.Random(0)
+        cases = [
+            (fig1_b11, [fs("yz")], [[fs("x")], [fs("xz")], [fs("x"), fs("y")], []]),
+            (
+                synthetic,
+                pool[:3],
+                [[c] for c in pool] + [rng.sample(pool, 8) for _ in range(20)],
+            ),
+        ]
+        for engine in ENGINES:
+            with use_engine(engine):
+                for instance, selected, trials in cases:
+                    residual = ResidualProblem(instance)
+                    residual.select(selected)
+                    for trial in trials:
+                        assert residual.evaluate_gain(trial) == _rebuild_gain(
+                            residual, trial
+                        ), engine
 
     def test_evaluate_gain_leaves_state_untouched(self, fig1_b11):
         residual = ResidualProblem(fig1_b11)

@@ -202,8 +202,8 @@ class TestIncrementalTranspose:
     live ``_t_by_prop`` / ``_t_uncovered`` state must be bitmap-identical
     to a cold rebuild from the missing masks — zero entries deleted, the
     uncovered mask exact — with the rebuild counter still at the single
-    initial build (the A^BCC picks-loop invariant the perf-smoke CI job
-    gates on).
+    initial build.  That is the A^BCC picks-loop invariant; perfbench
+    reports the same counter per op as ``core.coverage.transpose_rebuilds``.
     """
 
     def _check_against_cold(self, tracker):

@@ -114,6 +114,57 @@ class TestWeightedGraph:
         assert len(list(g.edges())) == 3
 
 
+#: Classifier-like and integer nodes: frozensets order by inclusion and
+#: mixed pairs fall back to ``repr``, so both orientation rules run.
+_NODES = st.one_of(
+    st.frozensets(st.sampled_from("abcd"), min_size=1), st.integers(0, 5)
+)
+_TRIPLES = st.lists(
+    st.tuples(_NODES, _NODES, st.sampled_from([0.5, 1.0, 2.0, 3.25])).filter(
+        lambda t: t[0] != t[1]
+    ),
+    max_size=30,
+)
+
+
+def _keyed_edges(graph):
+    """Reference snapshot: each edge keyed by :func:`edge_key` at its first
+    directed encounter."""
+    edges, visited = [], set()
+    for u in graph.nodes:
+        visited.add(u)
+        for v, w in graph.neighbors(u).items():
+            if v not in visited:
+                a, b = edge_key(u, v)
+                edges.append((a, b, w))
+    return edges
+
+
+class TestBulkBuildReference:
+    """The bulk builds against the per-edge builds they replaced."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(triples=_TRIPLES)
+    def test_add_edges_matches_per_edge_inserts(self, triples):
+        bulk, loop = WeightedGraph(), WeightedGraph()
+        bulk.add_edges(triples)
+        for u, v, w in triples:
+            loop.add_edge(u, v, w)
+        assert list(bulk.nodes) == list(loop.nodes)
+        for u in loop.nodes:
+            assert bulk.cost(u) == loop.cost(u)
+            assert list(bulk.neighbors(u).items()) == list(loop.neighbors(u).items())
+            assert bulk.weighted_degree(u) == loop.weighted_degree(u)
+        assert list(bulk.edges()) == list(loop.edges())
+
+    @settings(max_examples=60, deadline=None)
+    @given(triples=_TRIPLES)
+    def test_edges_snapshot_matches_keyed_reference(self, triples):
+        graph = WeightedGraph()
+        graph.add_edges(triples)
+        assert list(graph.edges()) == _keyed_edges(graph)
+
+
 class TestBipartite:
     def test_crossing_edges_only(self):
         g = triangle()

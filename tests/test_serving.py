@@ -8,8 +8,11 @@ Covers the full serving surface:
   successful response;
 - per-tick coalescing (identical effective instances share one solve,
   across tenants and across request kinds);
-- cache short-circuit, the never-store-certificates contract and the
-  tampered-payload rejection regression;
+- cache short-circuit, the never-store-certificates contract, the
+  tampered-payload rejection regression, and a 600-request Zipf trace
+  served without errors, fully certified and mostly warm on both the
+  virtual and the system clock (the production mode, whose cold solves
+  fan out to the worker pool when ``REPRO_JOBS`` > 1);
 - replan-vs-cold bit-identity and tenant isolation (one tenant's
   ``StaleWorkloadError`` never fails another's request);
 - degenerate rows (deadline 0, empty workloads) across all engines;
@@ -469,6 +472,38 @@ class TestCache:
         assert facade.counters.solves == 2
         assert facade.counters.cache_hits == facade.counters.cache_misses == 0
         assert facade.counters.hit_rate() == 0.0
+
+    @pytest.mark.parametrize("virtual", [True, False], ids=["virtual", "system"])
+    def test_zipf_trace_is_certified_and_mostly_warm(self, tmp_path, virtual):
+        """A 600-request Zipf trace on the full portfolio: no error
+        responses, a certificate on every response, and the Zipf head
+        served warm for at least half of the cache lookups.
+
+        Cache keys are request content, so the hit rate does not depend
+        on the clock; the system-clock leg asserts no timings.
+        """
+        trace = generate_trace(
+            n_requests=600,
+            n_tenants=8,
+            seed=0,
+            deadline_ms=20.0,
+            replan_fraction=0.005,
+            what_if_fraction=0.10,
+            budget_levels=2,
+        )
+        facade = ServingFacade(
+            ServingConfig(
+                clock=tier_prior_clock() if virtual else None,
+                cache=ResultCache(directory=tmp_path / "serving-cache"),
+            )
+        )
+        responses = facade.replay(trace)
+        assert [r.request_id for r in responses if not r.ok] == []
+        for response in responses:
+            certificate = response.solution.meta.get("certificate")
+            assert certificate is not None, f"request {response.request_id} uncertified"
+            assert frozenset(certificate.classifiers) == response.solution.classifiers
+        assert facade.counters.hit_rate() >= 0.5
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,10 @@ fingerprint features, the cost-model fit (hypothesis-fuzzed: monotone in
 size, never negative, deterministic, exact 2x metamorphic scaling), the
 versioned stats store's degradation ladder, the pool's clock plumbing,
 the meta-solver's deadline boundaries (0ms through unbounded), the
-incumbent-dominance verifier, and the CLI.
+incumbent-dominance verifier, and the CLI.  One test runs the meta-solver
+on the system clock (the production mode, which fans arms out to the
+worker pool when ``REPRO_JOBS`` > 1) and asserts no timings, only
+certificates and incumbent dominance.
 """
 
 from __future__ import annotations
@@ -51,7 +54,6 @@ from repro.slo.stats import (
     MAX_OBSERVATIONS_PER_KEY,
     STATS_VERSION,
     default_stats_store,
-    seed_store_from_bench,
 )
 from repro.verify import check_incumbent_trace
 from tests.strategies import arm_observations, feature_counts
@@ -347,89 +349,6 @@ class TestArmStatsStore:
         assert default_stats_store().path == target
 
 
-class TestSeedStoreFromBench:
-    """Replaying benchmark arm_observations into the arm-stats store."""
-
-    def _bench_file(self, tmp_path, rows):
-        path = tmp_path / "BENCH_hotpath.json"
-        path.write_text(json.dumps({"arm_observations": rows}))
-        return path
-
-    def _row(self, seconds=0.25, utility=10.0):
-        return {
-            "arm": "abcc",
-            "engine": "bits",
-            "features": [1.0] * len(FEATURE_NAMES),
-            "seconds": seconds,
-            "utility": utility,
-        }
-
-    def test_seeds_every_row(self, tmp_path):
-        store = ArmStatsStore(path=None)
-        path = self._bench_file(tmp_path, [self._row(0.2), self._row(0.3)])
-        assert seed_store_from_bench(store, path) == 2
-        assert store.observation_count("abcc", "bits") == 2
-
-    def test_seeded_observations_drive_predictions(self, tmp_path):
-        store = ArmStatsStore(path=None)
-        rows = [self._row(0.5) for _ in range(MIN_FIT_OBSERVATIONS)]
-        seed_store_from_bench(store, self._bench_file(tmp_path, rows))
-        predicted = store.predict_runtime(
-            "abcc", (1.0,) * len(FEATURE_NAMES), "bits"
-        )
-        # With uniform observations the prediction tracks the observed
-        # runtime, not the registry tier prior.
-        assert abs(predicted - 0.5) < 0.2
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(ValueError, match="cannot read"):
-            seed_store_from_bench(ArmStatsStore(path=None), tmp_path / "nope.json")
-
-    def test_non_json_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError, match="not JSON"):
-            seed_store_from_bench(ArmStatsStore(path=None), path)
-
-    def test_missing_observations_key_raises(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text(json.dumps({"micro_probe": {}}))
-        with pytest.raises(ValueError, match="arm_observations"):
-            seed_store_from_bench(ArmStatsStore(path=None), path)
-
-    def test_malformed_row_raises(self, tmp_path):
-        row = self._row()
-        del row["seconds"]
-        path = self._bench_file(tmp_path, [row])
-        with pytest.raises(ValueError, match="malformed"):
-            seed_store_from_bench(ArmStatsStore(path=None), path)
-
-    def test_cli_seed_stats_flag(self, tmp_path, capsys):
-        from repro.slo.cli import main
-
-        path = self._bench_file(tmp_path, [self._row()])
-        code = main(
-            [
-                "--virtual",
-                "--deadline-ms",
-                "10",
-                "--components",
-                "3",
-                "--seed-stats",
-                str(path),
-            ]
-        )
-        assert code == 0
-        assert "seeded 1 observation(s)" in capsys.readouterr().out
-
-    def test_cli_seed_stats_bad_file_exits_2(self, tmp_path, capsys):
-        from repro.slo.cli import main
-
-        code = main(["--virtual", "--seed-stats", str(tmp_path / "nope.json")])
-        assert code == 2
-        assert "--seed-stats failed" in capsys.readouterr().err
-
-
 # ----------------------------------------------------------------------
 # pool plumbing: clocks and advisory timeouts
 # ----------------------------------------------------------------------
@@ -702,6 +621,29 @@ class TestAnytimeMetaSolver:
         via_class = AnytimeMetaSolver(config2).solve(workload, deadline_ms=20.0)
         assert via_wrapper.classifiers == via_class.classifiers
         assert via_wrapper.meta["slo"]["schedule"] == via_class.meta["slo"]["schedule"]
+
+    def test_system_clock_incumbent_is_certified_at_every_deadline(self):
+        """Real time, learning store, pool waves under ``REPRO_JOBS`` > 1.
+
+        The unbounded solve runs first and teaches the store real arm
+        runtimes.  Every answer, the 0 ms one included, must carry a
+        certificate and a valid incumbent trace, and none may beat the
+        unbounded answer: arm seeds are fixed, so a deadline only drops
+        arms.
+        """
+        workload = generate_fragmented(
+            n_components=5, queries_per_component=6, budget=750.0, seed=3
+        )
+        solver = AnytimeMetaSolver(
+            SloConfig(stats=ArmStatsStore(path=None), record=True)
+        )
+        best = None
+        for deadline in (None, 0.0, 20.0):
+            solution = solver.solve(workload, deadline_ms=deadline)
+            assert "certificate" in solution.meta
+            check_incumbent_trace(workload, solver.last_trace)
+            best = solution.utility if best is None else best
+            assert solution.utility <= best
 
     def test_overrun_is_recorded_honestly(self):
         """A mispredicted first arm overruns the deadline; telemetry says so."""

@@ -11,7 +11,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.algorithms.bcc import solve_bcc
 from repro.algorithms.brute_force import solve_bcc_exact
@@ -29,6 +29,7 @@ from repro.core.errors import (
     UtilityCertificateError,
     WitnessCertificateError,
 )
+from repro.datasets.synthetic import generate_synthetic
 from repro.verify import (
     SolutionCertificate,
     attach_certificate,
@@ -256,9 +257,18 @@ class TestPropertyBasedCertification:
         )
 
     @given(instance=bcc_instances())
+    # A workload whose final swap polish changes the selection.
+    @example(instance=generate_synthetic(80, 40, budget=150.0, seed=0))
     @settings(max_examples=40, deadline=None)
     def test_heuristic_certifies_on_adversarial_instances(self, instance):
         # Zero costs, infinite costs and tight budgets included: the
         # heuristic must stay feasible and its bookkeeping certifiable.
         solution = solve_bcc(instance, certify=True)
         assert "certificate" in solution.meta
+        # Certifying never changes the answer.
+        plain = solve_bcc(instance)
+        assert (solution.classifiers, solution.utility, solution.cost) == (
+            plain.classifiers,
+            plain.utility,
+            plain.cost,
+        )
