@@ -14,48 +14,12 @@ decomposition engine has something honest to chew on.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Dict, FrozenSet, List, Set
 
 from repro.core.model import BCCInstance, powerset_classifiers
 from repro.datasets.lengths import plan_length_counts
 from repro.datasets.synthetic import MAX_LENGTH, _LENGTH_WEIGHTS
-
-
-def _feasible_counts(n_queries: int, n_properties: int) -> Dict[int, int]:
-    """Per-length counts clamped to the pool's distinct-query capacity.
-
-    :func:`plan_length_counts` caps only the singleton bucket; on the
-    small per-component pools used here any length can run out of
-    distinct combinations, which would stall rejection sampling forever.
-    Excess spills to the next longer length, then a final pass fills any
-    length with capacity left.
-    """
-    capacity = {
-        length: math.comb(n_properties, length)
-        for length in range(1, MAX_LENGTH + 1)
-    }
-    if n_queries > sum(capacity.values()):
-        raise ValueError(
-            f"cannot draw {n_queries} distinct queries of length <= "
-            f"{MAX_LENGTH} from {n_properties} properties"
-        )
-    counts = plan_length_counts(n_queries, _LENGTH_WEIGHTS, n_properties)
-    feasible: Dict[int, int] = {}
-    spill = 0
-    for length in range(1, MAX_LENGTH + 1):
-        want = counts.get(length, 0) + spill
-        feasible[length] = min(want, capacity[length])
-        spill = want - feasible[length]
-    for length in range(1, MAX_LENGTH + 1):
-        if spill == 0:
-            break
-        room = capacity[length] - feasible[length]
-        extra = min(room, spill)
-        feasible[length] += extra
-        spill -= extra
-    return {length: count for length, count in feasible.items() if count > 0}
 
 
 def generate_fragmented(
@@ -94,7 +58,9 @@ def generate_fragmented(
     costs: Dict[FrozenSet[str], float] = {}
     for component in range(n_components):
         pool = [f"c{component}_p{i}" for i in range(properties_per_component)]
-        counts = _feasible_counts(queries_per_component, properties_per_component)
+        counts = plan_length_counts(
+            queries_per_component, _LENGTH_WEIGHTS, properties_per_component
+        )
         queries: Set[FrozenSet[str]] = set()
         for length, count in sorted(counts.items()):
             while count > 0:

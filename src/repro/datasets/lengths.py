@@ -8,11 +8,15 @@ bound is already violated, suggesting the real logs contain distinct query
 *strings* mapping onto colliding property sets.)  The generators therefore
 plan exact per-length counts up front, cap the singleton bucket at a
 fraction of the property pool, and spill the excess into length 2, which
-keeps the achievable marginals as close to the paper's as possible.
+keeps the achievable marginals as close to the paper's as possible.  Every
+other length is bounded the same way by its number of distinct property
+combinations, so a small pool never leaves rejection sampling hunting for
+a query that does not exist.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Sequence, Tuple
 
 # Never use more than this fraction of the property pool as singleton
@@ -30,7 +34,14 @@ def plan_length_counts(
     Largest-remainder apportionment of ``n_queries`` across the length
     distribution, then the singleton bucket is capped at
     ``SINGLETON_POOL_FRACTION * n_properties`` with the excess moved to
-    length 2 (creating it if absent).
+    length 2 (creating it if absent).  Finally every length is clamped to
+    ``math.comb(n_properties, length)``, the distinct queries of that
+    length: excess spills to the next longer length, and what is still
+    left after the longest fills any length with room, shortest first.
+
+    Raises:
+        ValueError: ``n_queries`` exceeds the distinct queries of length
+            at most the longest planned length.
     """
     if n_queries <= 0:
         raise ValueError(f"n_queries must be positive, got {n_queries}")
@@ -55,4 +66,24 @@ def plan_length_counts(
         excess = counts[1] - cap
         counts[1] = cap
         counts[2] = counts.get(2, 0) + excess
-    return {length: count for length, count in counts.items() if count > 0}
+
+    lengths = range(1, max(counts) + 1)
+    capacity = {length: math.comb(n_properties, length) for length in lengths}
+    if n_queries > sum(capacity.values()):
+        raise ValueError(
+            f"cannot draw {n_queries} distinct queries of length <= "
+            f"{lengths[-1]} from {n_properties} properties"
+        )
+    feasible: Dict[int, int] = {}
+    spill = 0
+    for length in lengths:
+        want = counts.get(length, 0) + spill
+        feasible[length] = min(want, capacity[length])
+        spill = want - feasible[length]
+    for length in lengths:
+        if spill == 0:
+            break
+        extra = min(capacity[length] - feasible[length], spill)
+        feasible[length] += extra
+        spill -= extra
+    return {length: count for length, count in feasible.items() if count > 0}

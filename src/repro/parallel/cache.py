@@ -112,18 +112,19 @@ class ResultCache:
         if self.max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {self.max_entries}")
 
-    def _path(self, fingerprint: str) -> Path:
-        return self.directory / f"{fingerprint}.json"
+    def _path(self, fingerprint: str, suffix: str = ".json") -> str:
+        return os.path.join(self.directory, fingerprint + suffix)
 
     def get(self, fingerprint: str) -> Optional[Tuple[Solution, float]]:
         """The cached ``(solution, seconds)`` for ``fingerprint``, or None."""
         path = self._path(fingerprint)
         try:
-            payload = json.loads(path.read_text())
+            with open(path, "rb") as handle:
+                payload = json.loads(handle.read())
         except (OSError, ValueError):
             self.stats.misses += 1
             return None
-        if payload.get("version") != CACHE_VERSION:
+        if not isinstance(payload, dict) or payload.get("version") != CACHE_VERSION:
             self.stats.misses += 1
             return None
         try:
@@ -150,43 +151,47 @@ class ResultCache:
             "seconds": seconds,
             "solution": solution_to_payload(solution),
         }
-        path = self._path(fingerprint)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(payload, sort_keys=True))
-        os.replace(tmp, path)  # atomic: readers never see partial JSON
+        tmp = self._path(fingerprint, ".tmp")
+        with open(tmp, "w", encoding="utf-8") as handle:
+            handle.write(json.dumps(payload, sort_keys=True))
+        os.replace(tmp, self._path(fingerprint))  # atomic: readers never see partial JSON
         self.stats.stores += 1
         self._evict()
 
-    def _entries(self) -> List[Path]:
+    def _names(self) -> List[str]:
+        """File names of the stored entries (no per-entry ``stat``)."""
         try:
-            return [p for p in self.directory.iterdir() if p.suffix == ".json"]
+            return [name for name in os.listdir(self.directory) if name.endswith(".json")]
         except OSError:
             return []
 
     def _evict(self) -> None:
-        entries = self._entries()
-        excess = len(entries) - self.max_entries
+        # Rescan on every put: another handle on the same directory may
+        # have stored entries this one never saw, so a per-handle count
+        # could stay under the bound while the directory exceeds it.
+        names = self._names()
+        excess = len(names) - self.max_entries
         if excess <= 0:
             return
-        def mtime(path: Path) -> Tuple[float, str]:
+        def mtime(name: str) -> Tuple[float, str]:
             try:
-                return (path.stat().st_mtime, path.name)
+                return (os.stat(os.path.join(self.directory, name)).st_mtime, name)
             except OSError:
-                return (0.0, path.name)
-        for path in sorted(entries, key=mtime)[:excess]:
+                return (0.0, name)
+        for name in sorted(names, key=mtime)[:excess]:
             try:
-                path.unlink()
+                os.unlink(os.path.join(self.directory, name))
                 self.stats.evictions += 1
             except OSError:
                 pass
 
     def __len__(self) -> int:
-        return len(self._entries())
+        return len(self._names())
 
     def clear(self) -> None:
-        for path in self._entries():
+        for name in self._names():
             try:
-                path.unlink()
+                os.unlink(os.path.join(self.directory, name))
             except OSError:
                 pass
 

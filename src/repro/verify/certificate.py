@@ -11,6 +11,13 @@ set algebra) and raises a typed :class:`~repro.core.errors.CertificateError`
 on any disagreement, so a bookkeeping bug in a solver — or a rollback bug
 in the incremental engine it leans on — cannot survive certification.
 
+One walk over the workload's queries serves the whole verification: each
+selected classifier's canonical key is computed once, and each query's
+subset members, collected in canonical order, feed both the re-derived
+coverage and utility and the witness search.  The checks of a certificate
+(:func:`_verify_certificate`) do not read that walk: every witness is
+re-tested against the selection and its query on its own.
+
 Certificates serialize to JSON (:meth:`SolutionCertificate.to_json`) so
 sweeps can archive them next to results and re-check them offline.
 """
@@ -19,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Collection, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.errors import (
     BudgetCertificateError,
@@ -39,13 +46,15 @@ CERTIFICATE_VERSION = 1
 
 
 def _close(a: float, b: float) -> bool:
+    if a == b:
+        return True
     if math.isinf(a) or math.isinf(b):
-        return a == b
+        return False
     return abs(a - b) <= _TOL * max(1.0, abs(a), abs(b))
 
 
 def _sorted_props(props: Iterable[object]) -> Tuple[str, ...]:
-    return tuple(sorted(str(p) for p in props))
+    return tuple(sorted(map(str, props)))
 
 
 def _canon(classifier: Classifier) -> Tuple[str, ...]:
@@ -117,20 +126,60 @@ class SolutionCertificate:
         )
 
 
-def _witness_for(query: Query, subset_members: List[Classifier]) -> Optional[Tuple[Classifier, ...]]:
+def _canonical_order(
+    classifiers: Collection[Classifier],
+) -> Tuple[List[Classifier], Dict[Classifier, Tuple[str, ...]]]:
+    """The selection sorted by :func:`_canon`, and each member's key.
+
+    Each key is computed once per verification; every later sort (the
+    selection's order, each witness's order) reads it back.
+    """
+    canon = {c: _canon(c) for c in classifiers}
+    return sorted(classifiers, key=canon.__getitem__), canon
+
+
+def _covered_members(
+    workload: ClassifierWorkload, ordered: List[Classifier]
+) -> List[Tuple[Query, List[Classifier], float]]:
+    """One walk over the workload: each covered query, its members, its utility.
+
+    A query is covered iff the union of the selected classifiers that are
+    subsets of it equals it (raw set algebra, no solver bookkeeping).  The
+    members keep the canonical order of ``ordered``, so one list serves
+    both the re-derived coverage and utility and the certificate's
+    witness search.  Entries follow the workload's query order.
+    """
+    covered = []
+    for query in workload.queries:
+        members = [c for c in ordered if c <= query]
+        if set().union(*members) == query:
+            covered.append((query, members, workload.utility(query)))
+    return covered
+
+
+def _witness_for(
+    query: Query,
+    members: List[Classifier],
+    canon: Mapping[Classifier, Tuple[str, ...]],
+) -> Optional[Tuple[Classifier, ...]]:
     """A small witness ``T`` with ``⋃T = q`` from the subset members, or None.
 
     Greedy set cover over the query's properties (largest marginal
     contribution first, canonical tie-break): not guaranteed minimum, but
     every returned member contributes a property no earlier member did.
+    ``members`` must already be in canonical order; ``canon`` holds their
+    :func:`_canon` keys.
     """
+    if query in canon:
+        # A selected query covers every property at once, and no other
+        # subset of it can match that gain: the greedy's only first pick.
+        return (query,)
     missing = set(query)
     witness: List[Classifier] = []
-    pool = sorted(subset_members, key=_canon)
     while missing:
         best = None
         best_gain = 0
-        for classifier in pool:
+        for classifier in members:
             if classifier in witness:
                 continue
             gain = len(classifier & missing)
@@ -140,7 +189,34 @@ def _witness_for(query: Query, subset_members: List[Classifier]) -> Optional[Tup
             return None
         witness.append(best)
         missing -= best
-    return tuple(sorted(witness, key=_canon))
+    return tuple(sorted(witness, key=canon.__getitem__))
+
+
+def _certificate(
+    workload: ClassifierWorkload,
+    ordered: List[Classifier],
+    canon: Mapping[Classifier, Tuple[str, ...]],
+    covered: List[Tuple[Query, List[Classifier], float]],
+) -> SolutionCertificate:
+    """The certificate of a selection already walked by :func:`_covered_members`."""
+    witnesses: Dict[Query, Tuple[Classifier, ...]] = {}
+    utilities: Dict[Query, float] = {}
+    total_utility = 0.0
+    for query, members, utility in covered:
+        witness = _witness_for(query, members, canon)
+        assert witness is not None  # a covered query always has one
+        witnesses[query] = witness
+        utilities[query] = utility
+        total_utility += utility
+    item_costs = tuple(workload.cost(c) for c in ordered)
+    return SolutionCertificate(
+        classifiers=tuple(ordered),
+        item_costs=item_costs,
+        total_cost=sum(item_costs),
+        witnesses=witnesses,
+        query_utilities=utilities,
+        total_utility=total_utility,
+    )
 
 
 def build_certificate(
@@ -153,32 +229,8 @@ def build_certificate(
     evidence about the classifier selection, not about the solver's
     bookkeeping.  Verification then compares the two.
     """
-    selected = sorted(solution.classifiers, key=_canon)
-    witnesses: Dict[Query, Tuple[Classifier, ...]] = {}
-    utilities: Dict[Query, float] = {}
-    total_utility = 0.0
-    for query in workload.queries:
-        members = [c for c in selected if c <= query]
-        union: set = set()
-        for member in members:
-            union |= member
-        if union != set(query):
-            continue
-        witness = _witness_for(query, members)
-        assert witness is not None  # union == query guarantees one exists
-        witnesses[query] = witness
-        utility = workload.utility(query)
-        utilities[query] = utility
-        total_utility += utility
-    item_costs = tuple(workload.cost(c) for c in selected)
-    return SolutionCertificate(
-        classifiers=tuple(selected),
-        item_costs=item_costs,
-        total_cost=sum(item_costs),
-        witnesses=witnesses,
-        query_utilities=utilities,
-        total_utility=total_utility,
-    )
+    ordered, canon = _canonical_order(solution.classifiers)
+    return _certificate(workload, ordered, canon, _covered_members(workload, ordered))
 
 
 def verify_solution(
@@ -211,16 +263,13 @@ def verify_solution(
     selected = frozenset(solution.classifiers)
 
     # --- coverage, from raw set algebra -------------------------------
+    ordered, canon = _canonical_order(solution.classifiers)
+    covered = _covered_members(workload, ordered)
     derived_covered = set()
     derived_utility = 0.0
-    for query in workload.queries:
-        union: set = set()
-        for classifier in selected:
-            if classifier <= query:
-                union |= classifier
-        if union == set(query):
-            derived_covered.add(query)
-            derived_utility += workload.utility(query)
+    for query, _members, utility in covered:
+        derived_covered.add(query)
+        derived_utility += utility
     if derived_covered != set(solution.covered):
         missing = derived_covered - set(solution.covered)
         extra = set(solution.covered) - derived_covered
@@ -256,7 +305,7 @@ def verify_solution(
 
     # --- the certificate itself ---------------------------------------
     if certificate is None:
-        certificate = build_certificate(workload, solution)
+        certificate = _certificate(workload, ordered, canon, covered)
     _verify_certificate(workload, selected, derived_covered, certificate)
     return certificate
 
@@ -303,7 +352,7 @@ def _verify_certificate(
                     f"of query {sorted(map(str, query))}"
                 )
             union |= member
-        if union != set(query):
+        if union != query:
             raise WitnessCertificateError(
                 f"witness union does not equal query {sorted(map(str, query))}"
             )

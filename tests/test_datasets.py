@@ -150,6 +150,25 @@ class TestSynthetic:
             generate_synthetic(n_properties=2)
 
 
+class TestSmallPropertyPools:
+    """Every planned length fits the pool's distinct property combinations."""
+
+    @pytest.mark.parametrize("generate", [generate_synthetic, generate_bestbuy])
+    def test_small_pool_yields_distinct_queries(self, generate):
+        # Capping only the singletons once planned 25 pairs (synthetic) or
+        # 33 (bestbuy) out of 15, and rejection sampling never finished.
+        instance = generate(n_queries=40, n_properties=6, seed=0)
+        assert instance.num_queries == len(set(instance.queries)) == 40
+
+    @pytest.mark.parametrize(
+        "generate, n_queries",
+        [(generate_synthetic, 2**6), (generate_bestbuy, 6 + 15 + 20 + 1)],
+    )
+    def test_request_beyond_pool_capacity_is_rejected(self, generate, n_queries):
+        with pytest.raises(ValueError, match="distinct queries"):
+            generate(n_queries=n_queries, n_properties=6)
+
+
 class TestSchema:
     def test_round_trip(self, fig1_b4):
         payload = instance_to_json(fig1_b4)

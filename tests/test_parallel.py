@@ -363,6 +363,42 @@ class TestResultCache:
         assert cache.get("deadbeef") is None
         assert cache.stats.misses == 1
 
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+    def test_non_object_payload_is_a_miss(self, tmp_path, text):
+        cache = ResultCache(directory=tmp_path)
+        (tmp_path / "deadbeef.json").write_text(text)
+        assert cache.get("deadbeef") is None
+        assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+
+    def test_two_handles_share_one_bound(self, tmp_path):
+        """Each put rescans, so entries another handle stored count too."""
+        import os
+
+        first = ResultCache(directory=tmp_path, max_entries=3)
+        second = ResultCache(directory=tmp_path, max_entries=3)
+        solution = run_tasks([SolveTask("t", "abcc", _tiny_instance())], None)[0].solution
+        written = 0
+
+        def put(cache, key):
+            nonlocal written
+            cache.put(key, solution, 0.1)
+            assert len(list(tmp_path.glob("*.json"))) <= 3
+            # Writes get small, ordered mtimes; reads bump to the present.
+            written += 1
+            os.utime(tmp_path / f"{key}.json", (written, written))
+
+        put(first, "k1")
+        put(second, "k2")
+        put(first, "k3")
+        assert second.get("k1") is not None  # k2 is now the least recent
+        put(first, "k4")
+        assert sorted(p.stem for p in tmp_path.glob("*.json")) == ["k1", "k3", "k4"]
+        assert first.get("k3") is not None  # k4 is now the least recent
+        put(second, "k5")
+        assert sorted(p.stem for p in tmp_path.glob("*.json")) == ["k1", "k3", "k5"]
+        assert first.stats.evictions + second.stats.evictions == 2
+        assert len(first) == len(second) == 3
+
     def test_default_cache_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE", "0")
         assert default_cache() is None

@@ -37,7 +37,7 @@ from repro.datasets.zipf import zipf_rank
 from repro.incremental.delta import WorkloadDelta
 from repro.incremental.engine import IncrementalConfig, IncrementalSolver
 from repro.parallel import fingerprint as fingerprint_module
-from repro.parallel.cache import ResultCache
+from repro.parallel.cache import CACHE_VERSION, ResultCache
 from repro.serving import (
     PlanRequest,
     ReplanRequest,
@@ -464,6 +464,25 @@ class TestCache:
         (response,) = serve(facade, [PlanRequest("acme")])
         assert facade.counters.cache_rejected == 1
         assert response.ok and response.solution.utility == 9.0
+
+    def test_non_object_cache_payload_is_a_cold_miss(self, tmp_path):
+        trace = generate_trace(n_requests=40, n_tenants=4, seed=0, replan_fraction=0.0)
+        reference = make_facade(tmp_path).replay(trace)
+        entries = list((tmp_path / "serving-cache").glob("*.json"))
+        assert entries
+        for entry in entries:
+            entry.write_text("[]")
+
+        facade = make_facade(tmp_path)
+        responses = facade.replay(trace)
+        assert [r.request_id for r in responses if not r.ok] == []
+        # Each unreadable entry misses once and is solved cold.
+        assert facade.counters.cache_misses == facade.counters.solves == len(entries)
+        assert [r.solution.classifiers for r in responses] == [
+            r.solution.classifiers for r in reference
+        ]
+        for entry in entries:
+            assert json.loads(entry.read_text())["version"] == CACHE_VERSION
 
     def test_no_cache_means_every_plan_solves_cold(self, tmp_path):
         facade = make_facade(tmp_path, cache=False)

@@ -6,9 +6,11 @@ the differential harness flagging a planted dishonest solver, a clean
 default-arm sweep, and the metamorphic layer on the paper instance.
 """
 
+import ast
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -272,3 +274,24 @@ class TestPropertyBasedCertification:
             plain.utility,
             plain.cost,
         )
+
+
+class TestVerifierIndependence:
+    def test_certificate_module_imports_only_core_data_types(self):
+        # The oracle stays free of tracker, compiled-workload and solver
+        # code however it is tuned: a bug there cannot certify itself.
+        from repro.verify import certificate
+
+        tree = ast.parse(Path(certificate.__file__).read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert node.level == 0, "relative import in the verifier"
+                imported.add(node.module)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert {name for name in imported if name.split(".")[0] == "repro"} <= {
+            "repro.core.errors",
+            "repro.core.model",
+            "repro.core.solution",
+        }
