@@ -13,7 +13,7 @@
 from repro.algorithms.bcc import AbccConfig, solve_bcc
 from repro.algorithms.brute_force import solve_bcc_exact
 from repro.algorithms.ecc import solve_ecc
-from repro.algorithms.gmc3 import Gmc3Config, solve_gmc3
+from repro.algorithms.gmc3 import solve_gmc3
 from repro.algorithms.pruning import PruningConfig, prune_classifiers
 from repro.algorithms.residual import ResidualProblem
 
@@ -21,7 +21,6 @@ __all__ = [
     "solve_bcc",
     "AbccConfig",
     "solve_gmc3",
-    "Gmc3Config",
     "solve_ecc",
     "solve_bcc_exact",
     "prune_classifiers",

@@ -48,44 +48,30 @@ class AbccConfig:
         pruning: preprocessing configuration (line 1); ``None`` disables
             preprocessing entirely (the Figure 3e/3f ablation).
         use_mc3: run the MC3 local-search improvement (line 3).
-        first_round_fraction: budget fraction for the first BCC(1)/BCC(2)
-            round (the paper uses half, saving the rest for residuals).
         max_rounds: hard cap on residual iterations.
-        max_qk_query_length: only queries up to this length contribute
-            2-cover edges to the QK graph (longer ones still reach the
-            solution through residual 1-covers); ``None`` = no limit.
-        qk_singleton_bonus: expose 1-coverable-query utilities to the QK
-            solver as node bonuses through a zero-cost virtual node, so
-            the HkS engine optimizes the singleton/pair synergy the paper
-            observes ("the QK solution also tends to cover many popular
-            queries of length 1").  Engineering refinement; candidate
-            picks are still scored with true coverage either way.
-        cover_greedy_arm: add a third per-round candidate that greedily
-            buys whole cheapest residual covers by utility per cost (the
-            same minimal-cover machinery MC3 uses).  It reaches covers of
-            three or more classifiers in one step, which the Knapsack/QK
-            split only reaches after residual unlocking — important on
-            sparse workloads with long queries.
-        cover_arm_threshold: only run the cover-greedy arm in a round when
-            at least this fraction of the uncovered utility sits in
-            queries whose missing set has three or more properties (the
-            covers the other two arms cannot express).  On short-query
-            workloads the arm is unnecessary and its greedy picks can
-            derail the Knapsack/QK trajectory.
+        final_polish: run the bounded swap polish on the final selection.
     """
 
     qk: QKConfig = field(default_factory=QKConfig)
     pruning: Optional[PruningConfig] = field(default_factory=PruningConfig)
     use_mc3: bool = True
-    first_round_fraction: float = 0.5
     max_rounds: int = 12
-    max_qk_query_length: Optional[int] = None
-    qk_singleton_bonus: bool = True
     final_polish: bool = True
-    polish_eval_cap: int = 400
-    throttle_all_rounds: bool = False
-    cover_greedy_arm: bool = True
-    cover_arm_threshold: float = 0.08
+
+
+#: Budget share of the first BCC(1)/BCC(2) round (Algorithm 1, line 2: half
+#: the budget, saving the rest for the residual rounds).
+FIRST_ROUND_FRACTION = 0.5
+
+#: The cover-greedy arm runs in a round only when at least this share of
+#: the uncovered utility sits in queries whose missing set has three or
+#: more properties (the covers the Knapsack and QK arms cannot express).
+#: On short-query workloads the arm is unnecessary and its greedy picks
+#: can derail the Knapsack/QK trajectory.
+COVER_ARM_THRESHOLD = 0.08
+
+#: Cap on the swap trials of the final swap polish.
+POLISH_EVAL_CAP = 400
 
 
 _SINGLETON_BONUS = ("__singleton_bonus__",)
@@ -99,7 +85,10 @@ def _augment_with_singleton_bonus(residual, graph, budget: float):
     ``U(q)`` is added — classifiers not yet in the graph join it with
     their cost.  ``solve_qk`` always selects zero-cost nodes, so these
     edges act as node bonuses inside the HkS engine, letting one QK run
-    optimize 1-cover and 2-cover gains jointly.
+    optimize 1-cover and 2-cover gains jointly: the singleton/pair
+    synergy the paper observes ("the QK solution also tends to cover many
+    popular queries of length 1").  Candidate picks are still scored with
+    true coverage.
     """
     bonus_edges = []
     for query in residual.uncovered_queries():
@@ -133,7 +122,10 @@ def _cover_greedy_pick(
     with the best utility-per-incremental-cost ratio until the budget is
     exhausted.  Uses the same minimal-cover search as the MC3 greedy; a
     lazy heap re-validates each query's cached cover on pop (costs only
-    drop as classifiers accumulate).
+    drop as classifiers accumulate).  It reaches covers of three or more
+    classifiers in one step, which the Knapsack/QK split only reaches
+    after residual unlocking — important on sparse workloads with long
+    queries.
 
     Entries popped while unaffordable are *parked*, not dropped: a later
     purchase can make cover members free (or cover missing properties),
@@ -438,7 +430,6 @@ def _solve_bcc_impl(
     residual.select([c for c in allowed if instance.cost(c) == 0.0])
 
     rounds = 0
-    throttled = True
     round_times: List[float] = []
     qk_nodes: List[int] = []
     qk_edges: List[int] = []
@@ -449,14 +440,12 @@ def _solve_bcc_impl(
             remaining = instance.budget - residual.spent()
             if remaining <= 1e-9:
                 break
-            if rounds >= config.max_rounds - 1:
-                throttled = False  # last chance: spend whatever remains
-            round_throttled = throttled
+            # Only the first round is throttled, unless it is also the
+            # last chance to spend whatever remains.
+            round_throttled = rounds == 1 and rounds < config.max_rounds - 1
             round_budget = (
-                remaining * config.first_round_fraction if round_throttled else remaining
+                remaining * FIRST_ROUND_FRACTION if round_throttled else remaining
             )
-            if not config.throttle_all_rounds:
-                throttled = False  # only the first round is throttled
 
             # --------------------------------------------------------------
             # line 2: BCC(1) via Knapsack and BCC(2) via A_H^QK, best of two
@@ -467,13 +456,12 @@ def _solve_bcc_impl(
                 knapsack_pick = frozenset(item.key for item in chosen_items)
 
             with phase("qk_build"):
-                qk_graph = residual.qk_graph(round_budget, config.max_qk_query_length)
+                qk_graph = residual.qk_graph(round_budget)
                 if config.pruning is not None:
                     qk_graph = prune_qk_graph(qk_graph, config.pruning)
-                if config.qk_singleton_bonus:
-                    qk_graph = _augment_with_singleton_bonus(
-                        residual, qk_graph, round_budget
-                    )
+                qk_graph = _augment_with_singleton_bonus(
+                    residual, qk_graph, round_budget
+                )
                 qk_nodes.append(len(qk_graph))
                 qk_edges.append(qk_graph.num_edges())
             qk_pick: FrozenSet[Classifier] = frozenset()
@@ -485,17 +473,16 @@ def _solve_bcc_impl(
                     )
 
             picks = [knapsack_pick, qk_pick]
-            if config.cover_greedy_arm:
-                uncovered = residual.uncovered_queries()
-                total_uncovered = sum(instance.utility(q) for q in uncovered)
-                deep = sum(
-                    instance.utility(q)
-                    for q in uncovered
-                    if len(residual.missing(q)) >= 3
-                )
-                if total_uncovered > 0 and deep / total_uncovered >= config.cover_arm_threshold:
-                    with phase("cover_greedy"):
-                        picks.append(_cover_greedy_pick(residual, round_budget))
+            uncovered = residual.uncovered_queries()
+            total_uncovered = sum(instance.utility(q) for q in uncovered)
+            deep = sum(
+                instance.utility(q)
+                for q in uncovered
+                if len(residual.missing(q)) >= 3
+            )
+            if total_uncovered > 0 and deep / total_uncovered >= COVER_ARM_THRESHOLD:
+                with phase("cover_greedy"):
+                    picks.append(_cover_greedy_pick(residual, round_budget))
 
             # True-coverage comparison; infeasible picks are discarded.
             # Each pick is probed read-only against the current selection.
@@ -515,7 +502,6 @@ def _solve_bcc_impl(
                 if round_throttled:
                     # The throttled round found nothing affordable; retry
                     # with the full remaining budget before giving up.
-                    throttled = False
                     continue
                 break
             residual.select(best_pick)
@@ -533,7 +519,7 @@ def _solve_bcc_impl(
     if config.final_polish:
         with phase("swap_polish"):
             final_selection = _swap_polish(
-                instance, final_selection, allowed, config.polish_eval_cap
+                instance, final_selection, allowed, POLISH_EVAL_CAP
             )
 
     prof = current_profiler()

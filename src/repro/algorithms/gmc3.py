@@ -12,42 +12,26 @@ solution that reaches the target.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 from typing import FrozenSet, Optional, Set, Tuple
 
 from repro.algorithms.bcc import AbccConfig, solve_bcc
-from repro.qk import QKConfig
-
-
-def _light_bcc_config() -> AbccConfig:
-    """Default inner-solver configuration for the budget search.
-
-    The binary search discards most iterations, so each A^BCC run uses a
-    lighter setup (fewer bipartition rounds, no final polish); the quality
-    loss per run is small and the search dominates the outcome.
-    """
-    return AbccConfig(final_polish=False, qk=QKConfig(rounds=2))
 from repro.core.errors import InfeasibleTargetError
 from repro.core.model import BCCInstance, Classifier, GMC3Instance
 from repro.core.solution import Solution, evaluate
 from repro.mc3 import full_cover_cost
+from repro.qk import QKConfig
 
+#: The inner ``A^BCC`` setup.  The binary search discards most iterations,
+#: so each run is lighter (fewer bipartition rounds, no final polish); the
+#: quality loss per run is small and the search dominates the outcome.
+_INNER_BCC = AbccConfig(final_polish=False, qk=QKConfig(rounds=2))
 
-@dataclass
-class Gmc3Config:
-    """Tuning knobs for ``A^GMC3``.
+#: Binary-search iterations over the budget.
+SEARCH_STEPS = 5
 
-    Attributes:
-        bcc: configuration for the inner ``A^BCC`` runs.
-        search_steps: binary-search iterations over the budget.
-        max_bcc_rounds: cap on successive ``A^BCC`` invocations per budget
-            guess (the paper observes 2-4 suffice).
-    """
-
-    bcc: AbccConfig = field(default_factory=_light_bcc_config)
-    search_steps: int = 5
-    max_bcc_rounds: int = 4
-    greedy_candidate: bool = True
+#: Cap on successive ``A^BCC`` invocations per budget guess (the paper
+#: observes 2-4 suffice).
+MAX_BCC_ROUNDS = 4
 
 
 def _trim(
@@ -126,14 +110,14 @@ def _greedy_candidate(instance: GMC3Instance) -> Optional[FrozenSet[Classifier]]
 
 
 def _attempt(
-    instance: GMC3Instance, budget: float, config: Gmc3Config
+    instance: GMC3Instance, budget: float
 ) -> Tuple[FrozenSet[Classifier], float, bool]:
     """Accumulate A^BCC solutions at ``budget`` until the target is reached.
 
     Returns ``(selection, true cost, reached_target)``.
     """
     selected: Set[Classifier] = set()
-    for _ in range(config.max_bcc_rounds):
+    for _ in range(MAX_BCC_ROUNDS):
         baseline = evaluate(instance, selected)
         if baseline.utility >= instance.target - 1e-9:
             break
@@ -151,7 +135,7 @@ def _attempt(
             default_utility=instance.default_utility,
             default_cost=instance.default_cost,
         )
-        round_solution = solve_bcc(residual, config.bcc)
+        round_solution = solve_bcc(residual, _INNER_BCC)
         if round_solution.utility <= 0:
             break
         selected |= round_solution.classifiers
@@ -167,11 +151,7 @@ def _attempt(
     )
 
 
-def solve_gmc3(
-    instance: GMC3Instance,
-    config: Optional[Gmc3Config] = None,
-    certify: bool = False,
-) -> Solution:
+def solve_gmc3(instance: GMC3Instance, certify: bool = False) -> Solution:
     """Run ``A^GMC3`` and return the cheapest target-reaching solution found.
 
     With ``certify``, the result is verified from first principles —
@@ -183,7 +163,6 @@ def solve_gmc3(
             the workload, or the utility coverable at finite cost — in
             either case no classifier set can reach it.
     """
-    config = config or Gmc3Config()
     started = time.perf_counter()
     total = instance.total_utility()
     if instance.target > total + 1e-9:
@@ -211,21 +190,20 @@ def solve_gmc3(
         high = full_cover_cost(instance)
     best: Optional[Tuple[FrozenSet[Classifier], float]] = None
 
-    if config.greedy_candidate:
-        seeded = _greedy_candidate(instance)
-        if seeded is not None:
-            seeded_cost = evaluate(instance, seeded).cost
-            best = (seeded, seeded_cost)
+    seeded = _greedy_candidate(instance)
+    if seeded is not None:
+        seeded_cost = evaluate(instance, seeded).cost
+        best = (seeded, seeded_cost)
 
     # The full-cover budget always reaches any feasible target in one round.
-    selection, cost, reached = _attempt(instance, high, config)
+    selection, cost, reached = _attempt(instance, high)
     if reached and (best is None or cost < best[1]):
         best = (selection, cost)
 
     lo, hi = 0.0, high
-    for _ in range(config.search_steps):
+    for _ in range(SEARCH_STEPS):
         mid = 0.5 * (lo + hi)
-        selection, cost, reached = _attempt(instance, mid, config)
+        selection, cost, reached = _attempt(instance, mid)
         if reached:
             hi = mid
             if best is None or cost < best[1]:

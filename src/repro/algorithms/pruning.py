@@ -33,8 +33,9 @@ class PruningConfig:
 
     Attributes:
         replaceable: run the replaceable-classifier rule.
-        leverage: run the leverage-score rule on QK graphs.
-        leverage_rank: rank of the spectral approximation.
+        replaceable_scale_by_length: let shorter classifiers replace a
+            length-``r`` classifier within ``r`` times its cost (the
+            paper's rule) instead of within its cost.
         leverage_keep: fraction of total leverage mass that must be kept.
         leverage_min_nodes: only prune QK graphs at least this large —
             on small graphs the spectral tail still carries real utility
@@ -42,10 +43,7 @@ class PruningConfig:
     """
 
     replaceable: bool = True
-    replaceable_factor: float = 1.0
     replaceable_scale_by_length: bool = False
-    leverage: bool = True
-    leverage_rank: int = 8
     leverage_keep: float = 0.995
     leverage_min_nodes: int = 3000
 
@@ -98,7 +96,7 @@ def prune_classifiers(
         if found is None:
             continue
         replacement_cost, _ = found
-        threshold = config.replaceable_factor * workload.cost(classifier)
+        threshold = workload.cost(classifier)
         if config.replaceable_scale_by_length:
             threshold *= len(classifier)
         if replacement_cost <= threshold + 1e-9:
@@ -120,7 +118,11 @@ def prune_classifiers(
     return frozenset(retained)
 
 
-def leverage_scores(graph: WeightedGraph, rank: int = 8) -> Dict[Node, float]:
+#: Rank of the spectral approximation behind the leverage scores.
+LEVERAGE_RANK = 8
+
+
+def leverage_scores(graph: WeightedGraph, rank: int = LEVERAGE_RANK) -> Dict[Node, float]:
     """Weighted leverage score of each node from a rank-``k`` eigenbasis.
 
     Score of node ``i`` is ``sum_j lambda_j * v_j(i)^2`` over the top
@@ -178,9 +180,9 @@ def prune_qk_graph(
     edges.  Returns a (possibly) smaller copy; the input is not modified.
     """
     config = config or PruningConfig()
-    if not config.leverage or len(graph) < max(5, config.leverage_min_nodes):
+    if len(graph) < max(5, config.leverage_min_nodes):
         return graph.copy()
-    scores = leverage_scores(graph, config.leverage_rank)
+    scores = leverage_scores(graph)
     total = sum(scores.values())
     if total <= 0:
         return graph.copy()

@@ -146,7 +146,7 @@ class ResidualProblem:
     # ------------------------------------------------------------------
     # BCC(2): residual QK instance
     # ------------------------------------------------------------------
-    def qk_graph(self, budget: float, max_query_length: Optional[int] = None) -> WeightedGraph:
+    def qk_graph(self, budget: float) -> WeightedGraph:
         """QK graph over residual 2-covers.
 
         Nodes are usable classifiers participating in some 2-cover (node
@@ -158,8 +158,6 @@ class ResidualProblem:
         bits = active_engine() == "bits"
         compiled = self.workload.compiled() if bits else None
         for query in self.uncovered_queries():
-            if max_query_length is not None and len(query) > max_query_length:
-                continue
             missing = self.missing(query)
             if len(missing) < 2:
                 continue  # 1-coverable; BCC(1) owns it

@@ -11,13 +11,15 @@ fraction of the property pool, and spill the excess into length 2, which
 keeps the achievable marginals as close to the paper's as possible.  Every
 other length is bounded the same way by its number of distinct property
 combinations, so a small pool never leaves rejection sampling hunting for
-a query that does not exist.
+a query that does not exist.  A generator that draws every query inside
+one block of the pool (a product category) passes the block sizes, since
+its capacity is what the blocks hold, not what the whole pool holds.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 # Never use more than this fraction of the property pool as singleton
 # queries; beyond it rejection sampling of distinct singletons stalls.
@@ -28,6 +30,7 @@ def plan_length_counts(
     n_queries: int,
     length_weights: Sequence[Tuple[int, float]],
     n_properties: int,
+    blocks: Optional[Sequence[int]] = None,
 ) -> Dict[int, int]:
     """Exact number of queries to generate per length.
 
@@ -35,9 +38,11 @@ def plan_length_counts(
     distribution, then the singleton bucket is capped at
     ``SINGLETON_POOL_FRACTION * n_properties`` with the excess moved to
     length 2 (creating it if absent).  Finally every length is clamped to
-    ``math.comb(n_properties, length)``, the distinct queries of that
-    length: excess spills to the next longer length, and what is still
-    left after the longest fills any length with room, shortest first.
+    the distinct queries of that length, ``math.comb(size, length)``
+    summed over the sizes of the property ``blocks`` every query is drawn
+    inside (by default one block of all ``n_properties``): excess spills
+    to the next longer length, and what is still left after the longest
+    fills any length with room, shortest first.
 
     Raises:
         ValueError: ``n_queries`` exceeds the distinct queries of length
@@ -67,12 +72,16 @@ def plan_length_counts(
         counts[1] = cap
         counts[2] = counts.get(2, 0) + excess
 
+    sizes = (n_properties,) if blocks is None else blocks
     lengths = range(1, max(counts) + 1)
-    capacity = {length: math.comb(n_properties, length) for length in lengths}
+    capacity = {
+        length: sum(math.comb(size, length) for size in sizes) for length in lengths
+    }
     if n_queries > sum(capacity.values()):
         raise ValueError(
             f"cannot draw {n_queries} distinct queries of length <= "
-            f"{lengths[-1]} from {n_properties} properties"
+            f"{lengths[-1]}: only {sum(capacity.values())} exist in property "
+            f"blocks of sizes {list(sizes)}"
         )
     feasible: Dict[int, int] = {}
     spill = 0

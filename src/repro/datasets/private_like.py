@@ -80,7 +80,14 @@ def generate_private(
             difficulty[prop] = _property_difficulty(rng)
         category_importance[category] = 0.5 + rng.random()
 
-    counts = plan_length_counts(n_queries, _LENGTH_WEIGHTS, n_properties)
+    # Every query is drawn inside one category block, so the blocks bound
+    # how many distinct queries of each length exist.
+    counts = plan_length_counts(
+        n_queries,
+        _LENGTH_WEIGHTS,
+        n_properties,
+        blocks=[len(block) for block in category_props.values()],
+    )
     queries: Set[FrozenSet[str]] = set()
     raw_utility: Dict[FrozenSet[str], float] = {}
     category_of: Dict[str, str] = {

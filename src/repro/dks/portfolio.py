@@ -53,11 +53,11 @@ _POLISHED = ("peeling", "expansion")
 _LARGE_GRAPH_NODES = 4_000
 
 
-def _solve_arm(args: Tuple[str, IndexedGraph, int, int, bool]) -> FrozenSet[Node]:
+def _solve_arm(args: Tuple[str, IndexedGraph, int, int]) -> FrozenSet[Node]:
     """One portfolio arm (module-level so the process pool can pickle it)."""
-    name, graph, k, seed, polish = args
+    name, graph, k, seed = args
     candidate = ENGINES[name](graph, k, random.Random(seed))
-    if polish and name in _POLISHED:
+    if name in _POLISHED:
         candidate = improve_by_swaps(graph, candidate)
     return candidate
 
@@ -68,7 +68,6 @@ class HksPortfolio:
 
     Attributes:
         engines: names from :data:`ENGINES` to run.
-        polish: whether to run swap local search on each candidate.
         seed: RNG seed; every arm derives an independent RNG from it.
         jobs: worker processes for the arms (1 = sequential, the
             default; ``None`` defers to ``REPRO_JOBS``).  Results are
@@ -76,7 +75,6 @@ class HksPortfolio:
     """
 
     engines: Sequence[str] = ("peeling", "expansion", "lovasz", "spectral")
-    polish: bool = True
     seed: int = 0
     jobs: Optional[int] = 1
 
@@ -97,7 +95,7 @@ class HksPortfolio:
             for name in self.engines
             if not (nodes_count > _LARGE_GRAPH_NODES and name in ("lovasz", "spectral"))
         ]
-        arm_args = [(name, graph, k, self.seed, self.polish) for name in runnable]
+        arm_args = [(name, graph, k, self.seed) for name in runnable]
 
         from repro.parallel.pool import pmap, resolve_jobs
 

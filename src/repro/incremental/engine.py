@@ -75,6 +75,13 @@ TINY_SHARD_QUERIES = 16
 #: Shard profiles kept in the content-addressed store (LRU beyond this).
 MAX_STORED_PROFILES = 256
 
+#: Registry name of the per-shard solver (an entry of
+#: :mod:`repro.parallel.registry`).
+INNER_SOLVER = "abcc"
+
+#: Per-shard budget-grid cap under a binding budget.
+MAX_GRID_POINTS = 12
+
 
 def effective_jobs(jobs: Optional[int], tasks: Sequence[SolveTask]) -> int:
     """Worker count actually worth using for this batch.
@@ -137,9 +144,6 @@ class IncrementalConfig:
     """Tuning knobs for :class:`IncrementalSolver` and :func:`solve_bcc_sharded`.
 
     Attributes:
-        inner_solver: registry name of the per-shard solver (any entry of
-            :mod:`repro.parallel.registry`).
-        max_grid_points: per-shard budget-grid cap under a binding budget.
         jobs: worker processes for the shard fan-out (``None`` defers to
             ``REPRO_JOBS``; tiny batches run serially either way).  Keep
             at 1 when the caller itself runs inside a process pool.
@@ -153,8 +157,6 @@ class IncrementalConfig:
             serving façade replay re-plans on a deterministic timeline.
     """
 
-    inner_solver: str = "abcc"
-    max_grid_points: int = 12
     jobs: Optional[int] = None
     cache: Optional[ResultCache] = field(default=None, repr=False)
     certify: bool = True
@@ -278,7 +280,7 @@ class IncrementalSolver:
                 budget_grid(
                     _finite_costs(shard_at(index)),
                     budget,
-                    max_points=config.max_grid_points,
+                    max_points=MAX_GRID_POINTS,
                 )
                 for index in range(partition.num_shards)
             ]
@@ -345,7 +347,7 @@ class IncrementalSolver:
             selection,
             meta={
                 "algorithm": "A^BCC[incremental]",
-                "inner_solver": config.inner_solver,
+                "inner_solver": INNER_SOLVER,
                 "incremental": {
                     "version": getattr(instance, "version", 0),
                     "deltas_applied": self.deltas_applied,
@@ -403,10 +405,10 @@ class IncrementalSolver:
                 tasks.append(
                     SolveTask(
                         key=f"{fp[:16]}/{key}",
-                        solver=config.inner_solver,
+                        solver=INNER_SOLVER,
                         instance=shard_at(index).with_budget(point),
                         seed=seed_for(
-                            "incremental", config.inner_solver, self.seed, fp, float(point)
+                            "incremental", INNER_SOLVER, self.seed, fp, float(point)
                         ),
                         certify=False,
                     )
@@ -480,7 +482,7 @@ def solve_bcc_sharded(
 
     A one-shard instance runs the inner solver once on the whole instance
     instead: under a binding budget the grid pipeline would solve up to
-    ``max_grid_points`` budgets of that same instance and can pick a
+    :data:`MAX_GRID_POINTS` budgets of that same instance and can pick a
     different selection than the inner solver does.
     """
     started = time.perf_counter()
@@ -491,8 +493,7 @@ def solve_bcc_sharded(
 
     from repro.parallel.registry import get_solver
 
-    config = solver.config
-    solution = get_solver(config.inner_solver)(instance, seed, config.certify)
+    solution = get_solver(INNER_SOLVER)(instance, seed, solver.config.certify)
     meta = dict(solution.meta)
     meta["incremental"] = {
         "version": getattr(instance, "version", 0),

@@ -56,22 +56,19 @@ class QKConfig:
         hks: the HkS engine (defaults to the full portfolio).
         rounds: random-bipartition repetitions (0 = ``ceil(log2 n)``).
         seed: RNG seed (bipartitions and engine restarts).
-        target_copies: cap on the scaled budget, i.e. on blow-up copies
-            (0 = automatic: ``max(2n, 256)`` capped at 8192).
-        max_expensive_solves: how many single-expensive-node residual
-            solves to run (the paper runs one per expensive node; we cap
-            for scalability and document the deviation).
-        max_expensive_pairs: cap on enumerated expensive pairs.
-        greedy_topup: spend leftover budget greedily at the end.
     """
 
     hks: HksPortfolio = field(default_factory=HksPortfolio)
     rounds: int = 0
     seed: int = 0
-    target_copies: int = 0
-    max_expensive_solves: int = 4
-    max_expensive_pairs: int = 400
-    greedy_topup: bool = True
+
+
+#: Single-expensive-node residual solves to run.  The paper runs one per
+#: expensive node; the cap is a documented deviation for scalability.
+MAX_EXPENSIVE_SOLVES = 4
+
+#: Cap on enumerated expensive pairs.
+MAX_EXPENSIVE_PAIRS = 400
 
 
 def _bonuses(
@@ -364,9 +361,8 @@ def _solve_core(
     if budget <= 0 or len(graph) == 0:
         return set()
     bonuses = _bonuses(all_nodes_graph, preselected, graph.nodes)
-    target = config.target_copies
-    if target <= 0:
-        target = min(max(2 * len(graph), 256), 8192)
+    # Cap on the blow-up's unit copies.
+    target = min(max(2 * len(graph), 256), 8192)
     scaled, scaled_budget = _scaled_graph(
         graph, budget, graph.nodes, bonuses, target
     )
@@ -382,14 +378,12 @@ def _solve_core(
         if value > best_value:
             best_value = value
             best = candidate
-    if config.greedy_topup:
-        best = _greedy_fill(
-            graph,
-            best,
-            budget - sum(graph.cost(v) for v in best),
-            bonuses,
-        )
-    return best
+    return _greedy_fill(
+        graph,
+        best,
+        budget - sum(graph.cost(v) for v in best),
+        bonuses,
+    )
 
 
 def solve_qk(
@@ -434,11 +428,11 @@ def solve_qk(
     ranked_expensive = sorted(
         expensive, key=lambda v: (-work.weighted_degree(v), _node_repr(v))
     )
-    pair_pool = ranked_expensive[: max(2, int(math.isqrt(config.max_expensive_pairs * 2)))]
+    pair_pool = ranked_expensive[: max(2, int(math.isqrt(MAX_EXPENSIVE_PAIRS * 2)))]
     pairs_tried = 0
     for i in range(len(pair_pool)):
         for j in range(i + 1, len(pair_pool)):
-            if pairs_tried >= config.max_expensive_pairs:
+            if pairs_tried >= MAX_EXPENSIVE_PAIRS:
                 break
             u, v = pair_pool[i], pair_pool[j]
             if work.cost(u) + work.cost(v) <= budget + 1e-9:
@@ -446,7 +440,7 @@ def solve_qk(
                 pairs_tried += 1
 
     # Single expensive node + residual solve over the cheap subgraph.
-    for v in ranked_expensive[: config.max_expensive_solves]:
+    for v in ranked_expensive[:MAX_EXPENSIVE_SOLVES]:
         candidates.append({v})
         residual_budget = budget - work.cost(v)
         extra = _solve_core(cheap, residual_budget, zero | {v}, work, config, rng)
@@ -463,18 +457,17 @@ def solve_qk(
             best_weight = weight
             best = candidate
 
-    if config.greedy_topup:
-        # Top up the best structural candidate AND run pure greedy from
-        # scratch; keep the heavier.  The latter guarantees the heuristic
-        # never falls below the natural node/edge greedy on the instance.
-        topped = _greedy_fill(
-            work,
-            set(best) | zero,
-            budget - sum(work.cost(v) for v in best),
-        )
-        greedy_only = _greedy_fill(work, set(zero), budget)
-        if work.induced_weight(greedy_only) > work.induced_weight(topped):
-            topped = greedy_only
-        best = topped - zero
+    # Top up the best structural candidate AND run pure greedy from
+    # scratch; keep the heavier.  The latter guarantees the heuristic
+    # never falls below the natural node/edge greedy on the instance.
+    topped = _greedy_fill(
+        work,
+        set(best) | zero,
+        budget - sum(work.cost(v) for v in best),
+    )
+    greedy_only = _greedy_fill(work, set(zero), budget)
+    if work.induced_weight(greedy_only) > work.induced_weight(topped):
+        topped = greedy_only
+    best = topped - zero
 
     return frozenset(best | zero)

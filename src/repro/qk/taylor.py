@@ -40,6 +40,7 @@ from repro.dks.portfolio import HksPortfolio
 from repro.graphs.blowup import BlowupGraph
 from repro.graphs.graph import Node, WeightedGraph
 from repro.graphs.indexed import IndexedGraph
+from repro.qk.heuristic import _greedy_fill
 
 # P2 blow-up guard: skip the procedure when it would explode.
 _MAX_P2_COPIES = 30_000
@@ -154,7 +155,6 @@ def solve_qk_taylor(
     budget: float,
     dks: Optional[HksPortfolio] = None,
     seed: int = 0,
-    greedy_topup: bool = True,
 ) -> FrozenSet[Node]:
     """Solve QK with the worst-case-oriented ``A_T^QK`` algorithm."""
     if budget < 0:
@@ -220,11 +220,4 @@ def solve_qk_taylor(
             best_weight = weight
             best = feasible
 
-    if greedy_topup:
-        from repro.qk.heuristic import _greedy_fill
-
-        best = _greedy_fill(
-            work, best, budget - sum(work.cost(v) for v in best)
-        )
-
-    return frozenset(best)
+    return frozenset(_greedy_fill(work, best, budget - sum(work.cost(v) for v in best)))

@@ -57,7 +57,7 @@ from repro.core.errors import (
 )
 from repro.core.model import BCCInstance
 from repro.core.solution import Solution
-from repro.incremental.engine import IncrementalConfig, IncrementalSolver
+from repro.incremental.engine import INNER_SOLVER, IncrementalConfig, IncrementalSolver
 from repro.parallel.cache import ResultCache
 from repro.parallel.clock import SYSTEM_CLOCK, Clock, VirtualClock
 from repro.parallel.fingerprint import task_fingerprint
@@ -107,12 +107,10 @@ class ServingConfig:
             path entirely (every plan solves cold).
         jobs: pool width for cold solves and dirty-shard fan-out
             (``None`` defers to ``REPRO_JOBS``; a virtual clock forces 1).
-        record: write runtime observations back to the stats store.
-        safety: admission safety multiplier (see :class:`SloConfig`).
-        inner_solver: registry arm for per-shard replan solves.
         tick_seconds: width of one coalescing window on the clock.
-        default_deadline_ms: deadline applied when a request carries none
-            (``None`` means unbounded).
+
+    The façade never writes runtime observations back to the stats
+    store, and a request that carries no deadline is unbounded.
     """
 
     arms: Tuple[str, ...] = DEFAULT_ARMS
@@ -120,11 +118,7 @@ class ServingConfig:
     clock: Optional[Clock] = field(default=None, repr=False)
     cache: Optional[ResultCache] = field(default=None, repr=False)
     jobs: Optional[int] = None
-    record: bool = False
-    safety: float = 1.0
-    inner_solver: str = "abcc"
     tick_seconds: float = 0.02
-    default_deadline_ms: Optional[float] = None
 
     def __post_init__(self) -> None:
         if self.tick_seconds < 0:
@@ -223,8 +217,7 @@ class ServingFacade:
                 stats=self.stats,
                 clock=self.clock,
                 jobs=self.config.jobs,
-                record=self.config.record,
-                safety=self.config.safety,
+                record=False,
             )
         )
         self._tenants: Dict[str, _TenantState] = {}
@@ -249,7 +242,6 @@ class ServingFacade:
         solver = IncrementalSolver(
             instance.clone(),
             config=IncrementalConfig(
-                inner_solver=self.config.inner_solver,
                 jobs=self.config.jobs,
                 cache=self.cache,
                 certify=True,
@@ -427,16 +419,13 @@ class ServingFacade:
             except ReproError as exc:
                 responses[pending.seq] = self._error_response(pending, exc, tick)
                 continue
-            deadline = (
-                request.deadline_ms
-                if request.deadline_ms is not None
-                else self.config.default_deadline_ms
-            )
             # plan and what_if requests with the same effective instance
             # and deadline share one solve — the key is content, not kind.
-            key = self._solve_fingerprint(instance, deadline)
+            key = self._solve_fingerprint(instance, request.deadline_ms)
             if key not in groups:
-                groups[key] = _Group(fingerprint=key, instance=instance, deadline_ms=deadline)
+                groups[key] = _Group(
+                    fingerprint=key, instance=instance, deadline_ms=request.deadline_ms
+                )
                 order.append(key)
             groups[key].members.append(pending)
         flush(None)
@@ -576,7 +565,7 @@ class ServingFacade:
                 batch_size=1,
                 cache=None,
                 path="incremental",
-                arm=self.config.inner_solver,
+                arm=INNER_SOLVER,
                 extra={
                     "incremental": solution.meta.get("incremental"),
                     "version": state.version,

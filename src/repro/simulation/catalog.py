@@ -43,14 +43,16 @@ class CatalogConfig:
         n_properties: property vocabulary size.
         properties_per_item: (min, max) latent properties per item.
         disclosure: probability a latent property is also listed.
-        popularity_exponent: Zipf exponent of property prevalence.
     """
 
     n_items: int = 2000
     n_properties: int = 60
     properties_per_item: Tuple[int, int] = (2, 6)
     disclosure: float = 0.6
-    popularity_exponent: float = 1.0
+
+
+#: Zipf exponent of property prevalence.
+POPULARITY_EXPONENT = 1.0
 
 
 class Catalog:
@@ -93,7 +95,7 @@ def generate_catalog(config: CatalogConfig = CatalogConfig(), seed: int = 0) -> 
     rng = random.Random(seed)
     properties = [f"attr{i}" for i in range(config.n_properties)]
     weights = [
-        1.0 / (rank**config.popularity_exponent)
+        1.0 / (rank**POPULARITY_EXPONENT)
         for rank in range(1, config.n_properties + 1)
     ]
 

@@ -8,7 +8,7 @@ import pytest
 
 from repro.algorithms.bcc import (
     _SINGLETON_BONUS,
-    AbccConfig,
+    POLISH_EVAL_CAP,
     _augment_with_singleton_bonus,
     _cover_greedy_pick,
     _mc3_improve,
@@ -300,7 +300,6 @@ class TestSwapPolishReference:
         instance = generate_synthetic(80, 40, budget=150.0, seed=seed)
         allowed = frozenset(instance.feasible_classifiers())
         start = _random_feasible_start(instance, allowed, seed)
-        cap = AbccConfig().polish_eval_cap
         with use_engine(engine):
-            polished = _swap_polish(instance, set(start), allowed, cap)
-        assert polished == _reference_swap_polish(instance, start, allowed, cap)
+            polished = _swap_polish(instance, set(start), allowed, POLISH_EVAL_CAP)
+        assert polished == _reference_swap_polish(instance, start, allowed, POLISH_EVAL_CAP)

@@ -168,6 +168,21 @@ class TestSmallPropertyPools:
         with pytest.raises(ValueError, match="distinct queries"):
             generate(n_queries=n_queries, n_properties=6)
 
+    def test_private_plans_within_its_category_blocks(self):
+        # Every private query lies inside one of 8 category blocks, here of
+        # 5 properties each.  Planning against all 40 properties once asked
+        # for 154 pairs out of the 80 in-block pairs, and rejection
+        # sampling never finished.
+        instance = generate_private(n_queries=200, n_properties=40, seed=0)
+        assert instance.num_queries == len(set(instance.queries)) == 200
+        assert instance.length_histogram()[2] == 80
+
+    def test_private_request_beyond_block_capacity_is_rejected(self):
+        # The 8 blocks of 5 properties hold 248 distinct queries, fewer
+        # than the 300 asked for (the 40 properties alone would allow more).
+        with pytest.raises(ValueError, match="only 248 exist"):
+            generate_private(n_queries=300, n_properties=40, seed=0)
+
 
 class TestSchema:
     def test_round_trip(self, fig1_b4):
