@@ -7,7 +7,7 @@ instead of calling ``time.perf_counter`` inline.  Production code runs on
 the shared :data:`SYSTEM_CLOCK`; tests install a :class:`VirtualClock`
 whose time advances only when told to, which makes every scheduling
 decision (and therefore every test of one) deterministic: the same
-observations and the same deadline produce the same arm schedule on
+portfolio and the same deadline produce the same arm schedule on
 every run, every platform, every engine.
 
 A virtual clock simulates task runtimes through its ``task_seconds``

@@ -26,9 +26,9 @@ _SOLVERS: Dict[str, SolverFn] = {}
 _TIERS: Dict[str, str] = {}
 
 #: Coarse cost tiers, cheapest first.  A tier is a *prior*, not a
-#: measurement: the SLO stats store falls back to the tier's prior
-#: runtime (seconds) for arms it has never observed, and the meta-solver
-#: breaks prediction ties by tier rank.  Observed runtimes always win.
+#: measurement: the SLO meta-solver predicts each arm's runtime as its
+#: tier's prior (seconds), admits arms while those predictions fit the
+#: deadline, and breaks prediction ties by tier rank.
 COST_TIERS = ("cheap", "medium", "expensive")
 TIER_RANK = {tier: rank for rank, tier in enumerate(COST_TIERS)}
 TIER_PRIOR_SECONDS = {"cheap": 0.005, "medium": 0.05, "expensive": 0.5}

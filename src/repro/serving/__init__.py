@@ -6,7 +6,7 @@ Public surface:
   :class:`~repro.serving.facade.ServingConfig` — the asyncio request
   loop (register tenants, ``submit``/``tick``/``run``, deterministic
   ``replay``);
-- :func:`~repro.serving.facade.tier_prior_clock` — the standard virtual
+- :func:`~repro.slo.meta.tier_prior_clock` — the standard virtual
   clock for deterministic serving simulations;
 - the typed requests/responses of :mod:`repro.serving.requests`;
 - :func:`~repro.serving.traffic.generate_trace` and the trace file
@@ -14,12 +14,7 @@ Public surface:
 - ``python -m repro.serving`` — trace replay CLI.
 """
 
-from repro.serving.facade import (
-    ServingConfig,
-    ServingCounters,
-    ServingFacade,
-    tier_prior_clock,
-)
+from repro.serving.facade import ServingConfig, ServingCounters, ServingFacade
 from repro.serving.requests import (
     KINDS,
     PlanRequest,
@@ -39,6 +34,7 @@ from repro.serving.traffic import (
     trace_from_json,
     trace_to_json,
 )
+from repro.slo.meta import tier_prior_clock
 
 __all__ = [
     "KINDS",

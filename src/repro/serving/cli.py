@@ -20,8 +20,9 @@ from typing import List, Optional
 
 from repro.core.errors import CertificateError
 from repro.parallel.cache import ResultCache
-from repro.serving.facade import ServingConfig, ServingFacade, tier_prior_clock
+from repro.serving.facade import ServingConfig, ServingFacade
 from repro.serving.traffic import generate_trace, load_trace, save_trace
+from repro.slo.meta import tier_prior_clock
 
 
 def _percentile(values: List[float], q: float) -> float:

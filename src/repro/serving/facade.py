@@ -59,37 +59,15 @@ from repro.core.model import BCCInstance
 from repro.core.solution import Solution
 from repro.incremental.engine import INNER_SOLVER, IncrementalConfig, IncrementalSolver
 from repro.parallel.cache import ResultCache
-from repro.parallel.clock import SYSTEM_CLOCK, Clock, VirtualClock
+from repro.parallel.clock import SYSTEM_CLOCK, Clock
 from repro.parallel.fingerprint import task_fingerprint
-from repro.parallel.registry import TIER_PRIOR_SECONDS, solver_tier
 from repro.serving.requests import ReplanRequest, ServeRequest, ServeResponse
 from repro.serving.traffic import ServingTrace
 from repro.slo.meta import DEFAULT_ARMS, AnytimeMetaSolver, SloConfig
-from repro.slo.stats import ArmStatsStore
 from repro.verify.certificate import attach_certificate
 
 #: Slack for arrival/window comparisons (float accumulation, not policy).
 _TOL = 1e-12
-
-
-def tier_prior_clock(start: float = 0.0) -> VirtualClock:
-    """A virtual clock charging every solve task its registry tier prior.
-
-    The standard serving simulation clock: deterministic, engine- and
-    platform-independent, and coherent with the SLO meta-solver's cold
-    predictions (an unknown task charges nothing).
-    """
-
-    def seconds(task: object) -> float:
-        solver = getattr(task, "solver", None)
-        if not isinstance(solver, str):
-            return 0.0
-        try:
-            return TIER_PRIOR_SECONDS[solver_tier(solver)]
-        except KeyError:
-            return 0.0
-
-    return VirtualClock(start=start, task_seconds=seconds)
 
 
 @dataclass(frozen=True)
@@ -98,10 +76,8 @@ class ServingConfig:
 
     Attributes:
         arms: the cold-solve portfolio handed to the meta-solver.
-        stats: runtime-observation store; ``None`` builds a hermetic
-            in-memory one (no disk reads).
         clock: injected time; ``None`` uses the system clock.  Install a
-            virtual clock (e.g. :func:`tier_prior_clock`) for
+            virtual clock (e.g. :func:`~repro.slo.meta.tier_prior_clock`) for
             deterministic replays.
         cache: serving-level result cache; ``None`` disables the warm
             path entirely (every plan solves cold).
@@ -109,12 +85,10 @@ class ServingConfig:
             (``None`` defers to ``REPRO_JOBS``; a virtual clock forces 1).
         tick_seconds: width of one coalescing window on the clock.
 
-    The façade never writes runtime observations back to the stats
-    store, and a request that carries no deadline is unbounded.
+    A request that carries no deadline is unbounded.
     """
 
     arms: Tuple[str, ...] = DEFAULT_ARMS
-    stats: Optional[ArmStatsStore] = field(default=None, repr=False)
     clock: Optional[Clock] = field(default=None, repr=False)
     cache: Optional[ResultCache] = field(default=None, repr=False)
     jobs: Optional[int] = None
@@ -205,20 +179,9 @@ class ServingFacade:
         self.config = config or ServingConfig()
         self.clock = self.config.clock or SYSTEM_CLOCK
         self.cache = self.config.cache
-        self.stats = (
-            self.config.stats
-            if self.config.stats is not None
-            else ArmStatsStore(path=None)
-        )
         self.counters = ServingCounters()
         self._meta = AnytimeMetaSolver(
-            SloConfig(
-                arms=self.config.arms,
-                stats=self.stats,
-                clock=self.clock,
-                jobs=self.config.jobs,
-                record=False,
-            )
+            SloConfig(arms=self.config.arms, clock=self.clock, jobs=self.config.jobs)
         )
         self._tenants: Dict[str, _TenantState] = {}
         self._inbox: List[_Pending] = []

@@ -1,45 +1,28 @@
-"""Latency-SLO serving: the anytime meta-solver and its learned cost model.
+"""Latency-SLO serving: the anytime meta-solver.
 
 The serving question is "best certified answer within X ms", not "run
-all arms to completion".  This package answers it with three layers:
-
-- :class:`~repro.slo.stats.ArmStatsStore` — per-arm runtime/utility
-  observations keyed by instance fingerprint features (|Q|, |P|,
-  plan-length histogram, shard count) and engine, in a versioned JSON
-  store next to ``.repro-cache/``; callers use ``predict_runtime()``,
-  never the schema.
-- :mod:`~repro.slo.cost_model` — a deterministic ridge fit on
-  log-runtime (pure Python, monotone in size features, never negative),
-  refit lazily as observations grow, degrading through geometric means
-  to registry tier priors.
-- :class:`~repro.slo.meta.AnytimeMetaSolver` — races cheap arms first
-  through the task pool, escalates while predicted time remains, and
-  always holds a certified incumbent it can return on timeout.
+all arms to completion".  :class:`~repro.slo.meta.AnytimeMetaSolver`
+answers it: it charges every arm its registry tier prior as its
+predicted runtime, races cheap arms first through the task pool,
+escalates while predicted time remains, and always holds a certified
+incumbent it can return on timeout.
 
 Time is injected via the :class:`~repro.parallel.clock.Clock` protocol;
-a :class:`~repro.parallel.clock.VirtualClock` makes every scheduling
-decision deterministic.  ``python -m repro.slo --deadline-ms 50`` runs
-the solver from the command line.
+:func:`~repro.slo.meta.tier_prior_clock` is the
+:class:`~repro.parallel.clock.VirtualClock` that charges each arm its
+tier prior, which makes every scheduling decision deterministic.
+``python -m repro.slo --deadline-ms 50`` runs the solver from the
+command line.
 """
 
 from repro.parallel.clock import SYSTEM_CLOCK, Clock, SystemClock, VirtualClock
-from repro.slo.cost_model import (
-    MIN_FIT_OBSERVATIONS,
-    CostModel,
-    fit_cost_model,
-)
-from repro.slo.features import (
-    FEATURE_NAMES,
-    features_as_dict,
-    features_from_counts,
-    instance_features,
-)
 from repro.slo.figure import figslo
-from repro.slo.meta import DEFAULT_ARMS, AnytimeMetaSolver, SloConfig, solve_slo
-from repro.slo.stats import (
-    STATS_VERSION,
-    ArmStatsStore,
-    default_stats_store,
+from repro.slo.meta import (
+    DEFAULT_ARMS,
+    AnytimeMetaSolver,
+    SloConfig,
+    solve_slo,
+    tier_prior_clock,
 )
 
 __all__ = [
@@ -47,19 +30,10 @@ __all__ = [
     "SystemClock",
     "VirtualClock",
     "SYSTEM_CLOCK",
-    "CostModel",
-    "fit_cost_model",
-    "MIN_FIT_OBSERVATIONS",
-    "FEATURE_NAMES",
-    "features_as_dict",
-    "features_from_counts",
-    "instance_features",
     "figslo",
     "AnytimeMetaSolver",
     "SloConfig",
     "solve_slo",
+    "tier_prior_clock",
     "DEFAULT_ARMS",
-    "ArmStatsStore",
-    "STATS_VERSION",
-    "default_stats_store",
 ]

@@ -3,10 +3,11 @@
 Builds a fragmented benchmark workload, runs
 :class:`~repro.slo.meta.AnytimeMetaSolver` against the requested
 deadline, re-verifies the incumbent trace, and prints the certified
-answer plus its scheduling telemetry.  ``--virtual`` swaps in a
-:class:`~repro.parallel.clock.VirtualClock` that charges each arm its
-registry tier prior, making the whole run deterministic — the same mode
-the test wall and the ``figslo`` figure use.
+answer plus its scheduling telemetry.  ``--virtual`` swaps in
+:func:`~repro.slo.meta.tier_prior_clock`, a virtual clock that charges
+each arm its registry tier prior, making the whole run deterministic —
+the same mode the test wall and the ``figslo`` figure use.  The command
+writes no file unless ``--json`` names one.
 """
 
 from __future__ import annotations
@@ -14,14 +15,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 from typing import List, Optional
 
 from repro.core.errors import CertificateError
 from repro.datasets import generate_fragmented
-from repro.parallel.clock import VirtualClock
-from repro.slo.meta import AnytimeMetaSolver, SloConfig
-from repro.slo.stats import ArmStatsStore, default_stats_store
+from repro.slo.meta import AnytimeMetaSolver, SloConfig, tier_prior_clock
 from repro.verify.anytime import check_incumbent_trace
 
 
@@ -55,18 +53,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="simulate time on a virtual clock (deterministic schedule)",
     )
     parser.add_argument(
-        "--stats",
-        metavar="PATH",
-        default=None,
-        help="arm-stats store path (default: REPRO_ARM_STATS or "
-        ".repro-arm-stats.json; ignored under --virtual)",
-    )
-    parser.add_argument(
-        "--no-record",
-        action="store_true",
-        help="do not write runtime observations back to the store",
-    )
-    parser.add_argument(
         "--json", metavar="PATH", help="also write the telemetry as JSON"
     )
     args = parser.parse_args(argv)
@@ -79,21 +65,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
     )
 
-    if args.virtual:
-        # Simulated serving: each arm costs its tier prior, nothing is
-        # recorded — the same hermetic setup the test wall relies on.
-        stats = ArmStatsStore(path=None)
-        clock = VirtualClock(
-            task_seconds=lambda task, s=stats: s.predict_runtime(
-                task.solver, (0.0,) * 7, "virtual"
-            )
-        )
-        config = SloConfig(stats=stats, clock=clock, record=False)
-    else:
-        stats = default_stats_store(Path(args.stats) if args.stats else None)
-        config = SloConfig(stats=stats, record=not args.no_record)
-
-    solver = AnytimeMetaSolver(config)
+    clock = tier_prior_clock() if args.virtual else None
+    solver = AnytimeMetaSolver(SloConfig(clock=clock))
     solution = solver.solve(workload, deadline_ms=args.deadline_ms)
     try:
         check_incumbent_trace(solver._as_instance(workload, None), solver.last_trace)
@@ -133,11 +106,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         payload = {
             "utility": solution.utility,
             "cost": solution.cost,
-            "classifiers": sorted(solution.classifiers),
+            # Frozensets order by subset, and print in hash order: spell
+            # each classifier as its sorted members so the report is the
+            # same under every PYTHONHASHSEED.
+            "classifiers": sorted(
+                sorted(str(p) for p in c) for c in solution.classifiers
+            ),
             "slo": slo,
         }
         with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True, default=str)
+            json.dump(payload, handle, indent=2, sort_keys=True)
             handle.write("\n")
     return 0
 

@@ -3,13 +3,12 @@
 Sweeps the meta-solver over a deadline grid on a fragmented corpus
 workload and plots the certified incumbent's utility at each point,
 against the full-portfolio best as the horizontal reference.  The run is
-fully deterministic: a :class:`~repro.parallel.clock.VirtualClock`
-simulates each arm's runtime as its own predicted cost (the registry
-tier priors of a fresh in-memory store), so the schedule — and hence
-every row — is a pure function of scale and seed, independent of
-machine speed or ``jobs``.  That is what lets the serial-vs-parallel
-equality harness in ``tests/test_parallel.py`` compare the figure's
-values bit for bit.
+fully deterministic: :func:`~repro.slo.meta.tier_prior_clock` simulates
+each arm's runtime as its own predicted cost (its registry tier prior),
+so the schedule — and hence every row — is a pure function of scale and
+seed, independent of machine speed or ``jobs``.  That is what lets the
+serial-vs-parallel equality harness in ``tests/test_parallel.py``
+compare the figure's values bit for bit.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ from typing import Optional
 from repro.datasets import generate_fragmented
 from repro.experiments.runner import FigureResult
 from repro.experiments.scales import SMALL, Scale
-from repro.parallel.clock import VirtualClock
 from repro.parallel.pool import ParallelConfig
-from repro.slo.meta import AnytimeMetaSolver, SloConfig
-from repro.slo.stats import ArmStatsStore
+from repro.slo.meta import AnytimeMetaSolver, SloConfig, tier_prior_clock
 
 #: Simulated-time deadline grid (ms).  None = unbounded reference point.
 DEADLINES_MS = (0.0, 5.0, 20.0, 60.0, 200.0, None)
@@ -49,15 +46,7 @@ def figslo(
         f"workload: {components} components x 6 queries, virtual clock"
     )
     for deadline_ms in DEADLINES_MS:
-        stats = ArmStatsStore(path=None)
-        clock = VirtualClock(
-            task_seconds=lambda task, s=stats: s.predict_runtime(
-                task.solver, (0.0,) * 7, "virtual"
-            )
-        )
-        solver = AnytimeMetaSolver(
-            SloConfig(stats=stats, clock=clock, record=False)
-        )
+        solver = AnytimeMetaSolver(SloConfig(clock=tier_prior_clock()))
         solution = solver.solve(base, deadline_ms=deadline_ms)
         slo = solution.meta["slo"]
         x = "inf" if deadline_ms is None else deadline_ms

@@ -5,9 +5,9 @@ serving question — *best certified answer within X ms* — instead of the
 sweep question the rest of the repo optimizes (*run all arms to
 completion*).  The policy:
 
-1. **Predict.**  Every candidate arm gets a runtime prediction from the
-   :class:`~repro.slo.stats.ArmStatsStore` (fitted cost model →
-   geometric mean → registry tier prior, in degradation order).
+1. **Predict.**  Every candidate arm is charged its registry tier prior
+   (:data:`~repro.parallel.registry.TIER_PRIOR_SECONDS` of its
+   ``cheap``/``medium``/``expensive`` tag) as its predicted runtime.
 2. **Race cheap arms first.**  Arms are scheduled in ascending predicted
    runtime (ties: registry tier rank, then name — total and
    deterministic), executed through :func:`repro.parallel.pool.run_tasks`
@@ -21,7 +21,8 @@ completion*).  The policy:
 4. **Always hold a certified incumbent.**  The incumbent starts as the
    certified empty solution and is re-certified
    (:func:`repro.verify.verify_solution`) on every improvement, so a
-   timeout at *any* point returns a verifier-accepted answer.  Later
+   timeout at *any* point returns a verifier-accepted answer; the
+   returned solution keeps the last incumbent's certificate.  Later
    incumbents never regress (checked by
    :func:`repro.verify.anytime.check_incumbent_trace`).
 
@@ -29,9 +30,10 @@ Every timing decision goes through the injected
 :class:`~repro.parallel.clock.Clock`; under a
 :class:`~repro.parallel.clock.VirtualClock` the full schedule and the
 incumbent are bit-identical across runs and engines, which is what makes
-the test wall in ``tests/test_slo.py`` possible.  Telemetry — arms tried
-and skipped, predicted vs actual per arm, deadline slack or overrun —
-lands in ``solution.meta["slo"]``.
+the test wall in ``tests/test_slo.py`` possible.  :func:`tier_prior_clock`
+is that clock with each arm charged exactly its predicted runtime.
+Telemetry — arms tried and skipped, predicted vs actual per arm,
+deadline slack or overrun — lands in ``solution.meta["slo"]``.
 """
 
 from __future__ import annotations
@@ -44,18 +46,16 @@ from repro.core.bitset import active_engine
 from repro.core.errors import InvalidInstanceError
 from repro.core.model import BCCInstance, ClassifierWorkload
 from repro.core.solution import Solution, evaluate
-from repro.parallel.clock import SYSTEM_CLOCK, Clock
+from repro.parallel.clock import SYSTEM_CLOCK, Clock, VirtualClock
 from repro.parallel.fingerprint import instance_fingerprint
 from repro.parallel.pool import ParallelConfig, SolveTask, resolve_jobs, run_tasks
-from repro.parallel.registry import TIER_RANK, solver_tier
+from repro.parallel.registry import TIER_PRIOR_SECONDS, TIER_RANK, solver_tier
 from repro.parallel.seeding import seed_for
-from repro.slo.features import instance_features
-from repro.slo.stats import ArmStatsStore
 from repro.verify.certificate import verify_solution
 
 #: The default BCC portfolio, cheap to expensive.  ``bcc-exact`` is
 #: deliberately absent: its runtime is exponential in the worst case and
-#: a cold store has no way to know which case it is looking at.
+#: a tier prior has no way to know which case it is looking at.
 DEFAULT_ARMS: Tuple[str, ...] = (
     "rand-bcc",
     "ig1-bcc",
@@ -70,6 +70,28 @@ DEFAULT_ARMS: Tuple[str, ...] = (
 _TOL = 1e-12
 
 
+def tier_prior_clock(start: float = 0.0) -> VirtualClock:
+    """A virtual clock charging every solve task its registry tier prior.
+
+    The standard simulation clock (the CLI's ``--virtual``, the
+    ``figslo`` figure, serving replays): deterministic, engine- and
+    platform-independent, and charging each arm exactly the runtime
+    admission predicts for it (a task naming no registered solver
+    charges nothing).
+    """
+
+    def seconds(task: object) -> float:
+        solver = getattr(task, "solver", None)
+        if not isinstance(solver, str):
+            return 0.0
+        try:
+            return TIER_PRIOR_SECONDS[solver_tier(solver)]
+        except KeyError:
+            return 0.0
+
+    return VirtualClock(start=start, task_seconds=seconds)
+
+
 @dataclass(frozen=True)
 class SloConfig:
     """Policy knobs for one meta-solver.
@@ -77,31 +99,18 @@ class SloConfig:
     Attributes:
         arms: candidate registry arms (every one must accept a
             :class:`BCCInstance`).
-        stats: the observation store; None builds a fresh in-memory one
-            (no disk reads — hermetic by default; serving processes pass
-            :func:`~repro.slo.stats.default_stats_store`).
         clock: injected time; None uses the system clock.
         jobs: wave width through the task pool (None → ``REPRO_JOBS``);
             a virtual clock forces 1.
-        record: write runtime observations back to the store (and
-            persist path-backed stores at the end of each solve).
-        safety: multiplier on predictions during admission — ``1.25``
-            means "only admit an arm if 1.25x its predicted runtime
-            still fits", trading throughput for fewer overruns.
     """
 
     arms: Tuple[str, ...] = DEFAULT_ARMS
-    stats: Optional[ArmStatsStore] = None
     clock: Optional[Clock] = None
     jobs: Optional[int] = None
-    record: bool = True
-    safety: float = 1.0
 
     def __post_init__(self) -> None:
         if not self.arms:
             raise ValueError("the arm portfolio must not be empty")
-        if self.safety <= 0:
-            raise ValueError(f"safety must be positive, got {self.safety}")
 
 
 class AnytimeMetaSolver:
@@ -114,11 +123,6 @@ class AnytimeMetaSolver:
 
     def __init__(self, config: Optional[SloConfig] = None) -> None:
         self.config = config or SloConfig()
-        self.stats = (
-            self.config.stats
-            if self.config.stats is not None
-            else ArmStatsStore(path=None)
-        )
         self.clock = self.config.clock or SYSTEM_CLOCK
         self.last_trace: List[Solution] = []
 
@@ -168,19 +172,12 @@ class AnytimeMetaSolver:
         deadline_s = math.inf if deadline_ms is None else deadline_ms / 1000.0
         clock = self.clock
         engine = active_engine()
-        features = instance_features(instance)
         fingerprint = instance_fingerprint(instance)
         jobs = 1 if clock.virtual else resolve_jobs(self.config.jobs)
 
         order = sorted(
-            (
-                (
-                    self.stats.predict_runtime(arm, features, engine),
-                    TIER_RANK[solver_tier(arm)],
-                    arm,
-                )
-                for arm in self.config.arms
-            ),
+            (TIER_PRIOR_SECONDS[solver_tier(arm)], TIER_RANK[solver_tier(arm)], arm)
+            for arm in self.config.arms
         )
 
         start = clock.now()
@@ -197,11 +194,10 @@ class AnytimeMetaSolver:
             wave_pred = 0.0
             while index < len(order) and len(wave) < jobs:
                 predicted, _, arm = order[index]
-                charge = predicted * self.config.safety
-                if not first and wave_pred + charge > remaining + _TOL:
+                if not first and wave_pred + predicted > remaining + _TOL:
                     break
                 wave.append((predicted, arm))
-                wave_pred += charge
+                wave_pred += predicted
                 index += 1
                 first = False
             if not wave:
@@ -223,10 +219,6 @@ class AnytimeMetaSolver:
             )
             for (predicted, arm), result in zip(wave, results):
                 candidate = result.solution
-                if self.config.record:
-                    self.stats.record(
-                        arm, engine, features, result.seconds, candidate.utility
-                    )
                 improved = (candidate.utility, -candidate.cost) > (
                     incumbent.utility,
                     -incumbent.cost,
@@ -265,11 +257,9 @@ class AnytimeMetaSolver:
             "arms_tried": tried,
             "arms_skipped": skipped,
             "incumbent_updates": len(trace) - 1,
-            "observations": self.stats.total_observations(),
         }
-        if self.config.record:
-            self.stats.save()
-
+        # The incumbent's certificate rides along in the copied meta: the
+        # final solution has the same selection, cost, utility and cover.
         final = Solution(
             classifiers=incumbent.classifiers,
             cost=incumbent.cost,
@@ -277,8 +267,7 @@ class AnytimeMetaSolver:
             covered=incumbent.covered,
             meta={**dict(incumbent.meta), "slo": telemetry},
         )
-        final = self._certified(instance, final)
-        self.last_trace = trace[:-1] + [final] if trace else [final]
+        self.last_trace = trace[:-1] + [final]
         return final
 
 

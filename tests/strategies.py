@@ -19,7 +19,6 @@ from repro.core import BCCInstance, powerset_classifiers
 from repro.graphs import WeightedGraph
 from repro.serving.requests import PlanRequest, ReplanRequest, WhatIfRequest
 from repro.serving.traffic import ServingTrace, TraceItem
-from repro.slo.features import features_from_counts
 from repro.verify.incremental import random_delta_stream
 from repro.verify.metamorphic import merge_duplicate_queries
 
@@ -179,38 +178,6 @@ def wide_bcc_instances(
             costs[query] = float(draw(st.integers(0, 9)))
     budget = float(draw(st.integers(1, 2 * n_queries)))
     return BCCInstance(query_list, utilities, costs, budget=budget)
-
-
-@st.composite
-def feature_counts(draw, max_count: int = 500):
-    """Raw size counts in the shape ``features_from_counts`` expects."""
-    return tuple(draw(st.integers(0, max_count)) for _ in range(7))
-
-
-@st.composite
-def arm_observations(
-    draw,
-    min_samples: int = 1,
-    max_samples: int = 24,
-    max_seconds: float = 30.0,
-):
-    """Synthetic ``(features, seconds)`` runtime observations for one arm.
-
-    Feature vectors go through :func:`repro.slo.features.features_from_counts`
-    — fuzzed vectors are exactly the vectors real workloads produce —
-    and runtimes span cache-hit zeros up to ``max_seconds``.  Used by
-    ``test_slo.py`` to fuzz the cost-model fit (monotone in size,
-    never negative, deterministic).
-    """
-    n = draw(st.integers(min_samples, max_samples))
-    samples = []
-    for _ in range(n):
-        counts = draw(feature_counts())
-        seconds = draw(
-            st.floats(0.0, max_seconds, allow_nan=False, allow_infinity=False)
-        )
-        samples.append((features_from_counts(*counts), seconds))
-    return samples
 
 
 @st.composite

@@ -201,16 +201,9 @@ def test_degenerate_shapes_engine_identical(solver, engine):
 # the anytime SLO meta-solver against the degenerate catalogue
 # ----------------------------------------------------------------------
 def _slo_solver():
-    from repro.parallel.clock import VirtualClock
-    from repro.slo import AnytimeMetaSolver, ArmStatsStore, SloConfig
+    from repro.slo import AnytimeMetaSolver, SloConfig, tier_prior_clock
 
-    stats = ArmStatsStore(path=None)
-    clock = VirtualClock(
-        task_seconds=lambda task, s=stats: s.predict_runtime(
-            task.solver, (0.0,) * 7, "virtual"
-        )
-    )
-    return AnytimeMetaSolver(SloConfig(stats=stats, clock=clock, record=False))
+    return AnytimeMetaSolver(SloConfig(clock=tier_prior_clock()))
 
 
 @pytest.mark.parametrize("engine", ENGINES)

@@ -1,26 +1,28 @@
 """Test wall for the anytime latency-SLO meta-solver (``repro.slo``).
 
 Everything timing-dependent runs on a :class:`VirtualClock`, so every
-scheduling decision asserted here is deterministic: same observations +
+scheduling decision asserted here is deterministic: same portfolio +
 same deadline → same arm schedule, bit for bit, on every platform and
 under every coverage engine.  The wall covers the clock protocol, the
-fingerprint features, the cost-model fit (hypothesis-fuzzed: monotone in
-size, never negative, deterministic, exact 2x metamorphic scaling), the
-versioned stats store's degradation ladder, the pool's clock plumbing,
-the meta-solver's deadline boundaries (0ms through unbounded), the
-incumbent-dominance verifier, and the CLI.  One test runs the meta-solver
-on the system clock (the production mode, which fans arms out to the
-worker pool when ``REPRO_JOBS`` > 1) and asserts no timings, only
-certificates and incumbent dominance.
+registry tier priors the meta-solver predicts with, the pool's clock
+plumbing, the meta-solver's deadline boundaries (0ms through unbounded),
+the incumbent-dominance verifier, and the CLI (its JSON report must not
+depend on ``PYTHONHASHSEED``, and a run writes no file it was not asked
+for).  One test runs the meta-solver on the system clock (the production
+mode, which fans arms out to the worker pool when ``REPRO_JOBS`` > 1)
+and asserts no timings, only certificates and incumbent dominance.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Optional
 
 import pytest
-from hypothesis import given, settings
 
 from repro.core import BCCInstance, from_letters as fs
 from repro.core.bitset import ENGINES, use_engine
@@ -29,36 +31,12 @@ from repro.core.solution import evaluate
 from repro.datasets import generate_fragmented
 from repro.parallel.clock import SYSTEM_CLOCK, SystemClock, VirtualClock
 from repro.parallel.pool import BatchResults, ParallelConfig, SolveTask, run_tasks
-from repro.parallel.registry import (
-    COST_TIERS,
-    TIER_PRIOR_SECONDS,
-    solver_names,
-    solver_tier,
-)
-from repro.slo import (
-    MIN_FIT_OBSERVATIONS,
-    AnytimeMetaSolver,
-    ArmStatsStore,
-    SloConfig,
-    solve_slo,
-)
-from repro.slo.cost_model import fit_cost_model
-from repro.slo.features import (
-    FEATURE_NAMES,
-    features_as_dict,
-    features_from_counts,
-    instance_features,
-)
+from repro.parallel.registry import COST_TIERS, TIER_PRIOR_SECONDS, solver_tier
+from repro.slo import AnytimeMetaSolver, SloConfig, solve_slo, tier_prior_clock
 from repro.slo.meta import DEFAULT_ARMS
-from repro.slo.stats import (
-    MAX_OBSERVATIONS_PER_KEY,
-    STATS_VERSION,
-    default_stats_store,
-)
 from repro.verify import check_incumbent_trace
-from tests.strategies import arm_observations, feature_counts
 
-_FEATURES = features_from_counts(10, 20, 5, 3, 1, 1, 2)
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _workload(components: int = 4, seed: int = 0) -> BCCInstance:
@@ -70,21 +48,8 @@ def _workload(components: int = 4, seed: int = 0) -> BCCInstance:
     )
 
 
-def _prior_clock(stats: ArmStatsStore) -> VirtualClock:
-    """Simulated time: every arm runs for its store-predicted runtime."""
-    return VirtualClock(
-        task_seconds=lambda task: stats.predict_runtime(
-            task.solver, _FEATURES, "virtual"
-        )
-    )
-
-
-def _virtual_solver(**config_kwargs) -> AnytimeMetaSolver:
-    stats = config_kwargs.pop("stats", None) or ArmStatsStore(path=None)
-    clock = config_kwargs.pop("clock", None) or _prior_clock(stats)
-    return AnytimeMetaSolver(
-        SloConfig(stats=stats, clock=clock, record=False, **config_kwargs)
-    )
+def _virtual_solver(clock: Optional[VirtualClock] = None) -> AnytimeMetaSolver:
+    return AnytimeMetaSolver(SloConfig(clock=clock or tier_prior_clock()))
 
 
 # ----------------------------------------------------------------------
@@ -133,121 +98,9 @@ class TestClocks:
 
 
 # ----------------------------------------------------------------------
-# fingerprint features
+# the registry tier priors
 # ----------------------------------------------------------------------
-class TestFeatures:
-    def test_features_are_log1p_of_counts(self):
-        vector = features_from_counts(1, 2, 3, 4, 5, 6, 7)
-        assert vector == tuple(math.log1p(c) for c in (1, 2, 3, 4, 5, 6, 7))
-
-    def test_zero_counts_give_the_zero_vector(self):
-        assert features_from_counts(0, 0, 0, 0, 0, 0, 0) == (0.0,) * 7
-
-    def test_negative_counts_are_rejected(self):
-        with pytest.raises(ValueError):
-            features_from_counts(1, -1, 0, 0, 0, 0, 0)
-
-    def test_instance_features_match_manual_counts(self):
-        instance = BCCInstance(
-            [fs("a"), fs("bc"), fs("de")],
-            {fs("a"): 1.0, fs("bc"): 2.0, fs("de"): 3.0},
-            {},
-            budget=10.0,
-        )
-        vector = features_as_dict(instance_features(instance))
-        assert vector["log_queries"] == math.log1p(3)
-        assert vector["log_properties"] == math.log1p(5)
-        assert vector["log_len1"] == math.log1p(1)
-        assert vector["log_len2"] == math.log1p(2)
-        assert vector["log_len4p"] == 0.0
-        # a, bc, de share no property: three independent shards
-        assert vector["log_shards"] == math.log1p(3)
-
-    def test_features_as_dict_rejects_wrong_arity(self):
-        with pytest.raises(ValueError):
-            features_as_dict((1.0, 2.0))
-
-
-# ----------------------------------------------------------------------
-# the cost model
-# ----------------------------------------------------------------------
-class TestCostModel:
-    def test_no_samples_means_no_model(self):
-        assert fit_cost_model([]) is None
-
-    def test_few_samples_fit_the_geometric_mean(self):
-        samples = [(_FEATURES, 2.0), (_FEATURES, 8.0)]
-        model = fit_cost_model(samples)
-        assert model.weights == (0.0,) * len(FEATURE_NAMES)
-        assert model.predict_seconds(_FEATURES) == pytest.approx(4.0)
-
-    def test_prediction_rejects_wrong_arity(self):
-        model = fit_cost_model([(_FEATURES, 1.0)])
-        with pytest.raises(ValueError):
-            model.predict_seconds((1.0, 2.0))
-
-    @settings(max_examples=60, deadline=None)
-    @given(arm_observations())
-    def test_predictions_are_always_positive_and_finite(self, samples):
-        model = fit_cost_model(samples)
-        for features, _ in samples:
-            predicted = model.predict_seconds(features)
-            assert predicted > 0.0
-            assert math.isfinite(predicted)
-
-    @settings(max_examples=40, deadline=None)
-    @given(arm_observations())
-    def test_fit_is_deterministic(self, samples):
-        first = fit_cost_model(samples)
-        second = fit_cost_model(list(samples))
-        assert first == second
-
-    @settings(max_examples=40, deadline=None)
-    @given(arm_observations(), feature_counts(), feature_counts())
-    def test_predictions_are_monotone_in_size(self, samples, counts_a, counts_b):
-        """Growing every size count must never shrink the prediction."""
-        model = fit_cost_model(samples)
-        smaller = tuple(min(a, b) for a, b in zip(counts_a, counts_b))
-        larger = tuple(max(a, b) for a, b in zip(counts_a, counts_b))
-        low = model.predict_seconds(features_from_counts(*smaller))
-        high = model.predict_seconds(features_from_counts(*larger))
-        assert high >= low
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        arm_observations(
-            min_samples=MIN_FIT_OBSERVATIONS, max_samples=20, max_seconds=30.0
-        )
-    )
-    def test_doubling_every_runtime_doubles_every_prediction(self, samples):
-        """Metamorphic: 2x runtime scaling is a pure intercept shift."""
-        # Stay above the MIN_SECONDS log floor so scaling is exact.
-        samples = [(f, max(s, 1e-3)) for f, s in samples]
-        base = fit_cost_model(samples)
-        scaled = fit_cost_model([(f, 2.0 * s) for f, s in samples])
-        assert scaled.weights == pytest.approx(base.weights, rel=1e-6, abs=1e-9)
-        for features, _ in samples:
-            assert scaled.predict_seconds(features) == pytest.approx(
-                2.0 * base.predict_seconds(features), rel=1e-6
-            )
-
-    def test_extreme_features_cap_to_a_finite_prediction(self):
-        samples = [(_FEATURES, 10.0)] * MIN_FIT_OBSERVATIONS
-        model = fit_cost_model(samples)
-        huge = (1e9,) * len(FEATURE_NAMES)
-        assert math.isfinite(model.predict_seconds(huge))
-
-
-# ----------------------------------------------------------------------
-# the versioned stats store
-# ----------------------------------------------------------------------
-class TestArmStatsStore:
-    def test_empty_store_answers_with_the_tier_prior(self):
-        store = ArmStatsStore(path=None)
-        for arm in solver_names():
-            prior = TIER_PRIOR_SECONDS[solver_tier(arm)]
-            assert store.predict_runtime(arm, _FEATURES, "bits") == prior
-
+class TestTierPriors:
     def test_tier_priors_cover_every_tier_and_ascend(self):
         assert tuple(TIER_PRIOR_SECONDS) == COST_TIERS
         assert (
@@ -255,98 +108,6 @@ class TestArmStatsStore:
             < TIER_PRIOR_SECONDS["medium"]
             < TIER_PRIOR_SECONDS["expensive"]
         )
-
-    def test_few_observations_predict_their_geometric_mean(self):
-        store = ArmStatsStore(path=None)
-        store.record("abcc", "bits", _FEATURES, 2.0, 10.0)
-        store.record("abcc", "bits", _FEATURES, 8.0, 10.0)
-        assert store.predict_runtime("abcc", _FEATURES, "bits") == pytest.approx(4.0)
-        # a different engine key is untouched
-        assert (
-            store.predict_runtime("abcc", _FEATURES, "sets")
-            == TIER_PRIOR_SECONDS["medium"]
-        )
-
-    def test_record_validates_inputs(self):
-        store = ArmStatsStore(path=None)
-        with pytest.raises(ValueError):
-            store.record("abcc", "bits", (1.0, 2.0), 1.0, 1.0)
-        with pytest.raises(ValueError):
-            store.record("abcc", "bits", _FEATURES, -1.0, 1.0)
-
-    def test_roundtrip_through_disk(self, tmp_path):
-        path = tmp_path / "stats.json"
-        store = ArmStatsStore(path=path)
-        store.record("abcc", "bits", _FEATURES, 0.25, 5.0)
-        store.save()
-        reloaded = ArmStatsStore(path=path)
-        assert reloaded.observation_count("abcc", "bits") == 1
-        assert reloaded.predict_runtime("abcc", _FEATURES, "bits") == pytest.approx(
-            0.25
-        )
-
-    def test_save_without_recording_writes_nothing(self, tmp_path):
-        path = tmp_path / "stats.json"
-        ArmStatsStore(path=path).save()
-        assert not path.exists()
-
-    def test_corrupt_file_degrades_to_an_empty_store(self, tmp_path):
-        path = tmp_path / "stats.json"
-        path.write_text("{not json at all")
-        store = ArmStatsStore(path=path)
-        assert store.total_observations() == 0
-        assert store.stats.discarded_files == 1
-        prior = TIER_PRIOR_SECONDS[solver_tier("abcc")]
-        assert store.predict_runtime("abcc", _FEATURES, "bits") == prior
-
-    def test_version_bump_discards_old_observations(self, tmp_path):
-        path = tmp_path / "stats.json"
-        store = ArmStatsStore(path=path)
-        store.record("abcc", "bits", _FEATURES, 1.0, 1.0)
-        store.save()
-        payload = json.loads(path.read_text())
-        payload["version"] = STATS_VERSION + 1
-        path.write_text(json.dumps(payload))
-        reloaded = ArmStatsStore(path=path)
-        assert reloaded.total_observations() == 0
-        assert reloaded.stats.discarded_files == 1
-
-    def test_malformed_rows_inside_valid_json_degrade_to_empty(self, tmp_path):
-        path = tmp_path / "stats.json"
-        payload = {
-            "version": STATS_VERSION,
-            "observations": {"abcc": {"bits": [[[1.0, 2.0], 0.5, 1.0]]}},
-        }
-        path.write_text(json.dumps(payload))
-        store = ArmStatsStore(path=path)
-        assert store.total_observations() == 0
-        assert store.stats.discarded_files == 1
-
-    def test_observation_cap_rolls_the_oldest_entries_off(self):
-        store = ArmStatsStore(path=None)
-        for index in range(MAX_OBSERVATIONS_PER_KEY + 40):
-            store.record("abcc", "bits", _FEATURES, float(index + 1), 1.0)
-        assert store.observation_count("abcc", "bits") == MAX_OBSERVATIONS_PER_KEY
-        assert store.stats.recorded == MAX_OBSERVATIONS_PER_KEY + 40
-
-    def test_models_refit_lazily(self):
-        store = ArmStatsStore(path=None)
-        for _ in range(MIN_FIT_OBSERVATIONS):
-            store.record("abcc", "bits", _FEATURES, 1.0, 1.0)
-        store.predict_runtime("abcc", _FEATURES, "bits")
-        fits = store.stats.fits
-        store.record("abcc", "bits", _FEATURES, 1.0, 1.0)
-        store.predict_runtime("abcc", _FEATURES, "bits")
-        assert store.stats.fits == fits  # +1 observation: under growth factor
-        for _ in range(MIN_FIT_OBSERVATIONS):
-            store.record("abcc", "bits", _FEATURES, 1.0, 1.0)
-        store.predict_runtime("abcc", _FEATURES, "bits")
-        assert store.stats.fits == fits + 1
-
-    def test_default_store_honours_the_environment(self, tmp_path, monkeypatch):
-        target = tmp_path / "custom-stats.json"
-        monkeypatch.setenv("REPRO_ARM_STATS", str(target))
-        assert default_stats_store().path == target
 
 
 # ----------------------------------------------------------------------
@@ -509,7 +270,6 @@ class TestAnytimeMetaSolver:
             "arms_tried",
             "arms_skipped",
             "incumbent_updates",
-            "observations",
         ):
             assert key in slo
         assert slo["schedule"] == [entry["arm"] for entry in slo["arms_tried"]]
@@ -521,84 +281,18 @@ class TestAnytimeMetaSolver:
             1 for entry in slo["arms_tried"] if entry["improved"]
         )
 
-    def test_recording_grows_the_store_and_persists(self, tmp_path):
-        path = tmp_path / "stats.json"
-        stats = ArmStatsStore(path=path)
-        clock = _prior_clock(stats)
-        solver = AnytimeMetaSolver(SloConfig(stats=stats, clock=clock, record=True))
-        solver.solve(_workload(), deadline_ms=None)
-        assert stats.total_observations() == len(DEFAULT_ARMS)
-        assert path.exists()
-        assert ArmStatsStore(path=path).total_observations() == len(DEFAULT_ARMS)
-
-    def test_record_false_leaves_the_store_untouched(self):
-        stats = ArmStatsStore(path=None)
-        _virtual_solver(stats=stats).solve(_workload(), deadline_ms=None)
-        assert stats.total_observations() == 0
-
-    def test_learned_predictions_steer_the_schedule(self):
-        """An arm observed to be slow drops behind cheaper arms."""
-        workload = _workload()
-        features = instance_features(workload)
-        stats = ArmStatsStore(path=None)
-        from repro.core.bitset import active_engine
-
-        engine = active_engine()
-        # ig1-bcc observed very slow; abcc observed very fast.
-        for _ in range(4):
-            stats.record("ig1-bcc", engine, features, 5.0, 1.0)
-            stats.record("abcc", engine, features, 0.001, 1.0)
-        clock = VirtualClock(
-            task_seconds=lambda task: stats.predict_runtime(
-                task.solver, features, engine
-            )
-        )
-        solution = _virtual_solver(stats=stats, clock=clock).solve(
-            workload, deadline_ms=None
-        )
-        schedule = solution.meta["slo"]["schedule"]
-        assert schedule.index("abcc") < schedule.index("ig1-bcc")
-
-    def test_doubled_runtimes_and_deadline_preserve_the_schedule(self):
-        """Metamorphic: scaling time itself must not change the policy."""
-        workload = _workload()
-        features = instance_features(workload)
-        from repro.core.bitset import active_engine
-
-        engine = active_engine()
-        schedules = []
-        for scale in (1.0, 2.0):
-            stats = ArmStatsStore(path=None)
-            for index in range(MIN_FIT_OBSERVATIONS + 2):
-                for position, arm in enumerate(DEFAULT_ARMS):
-                    stats.record(
-                        arm,
-                        engine,
-                        features_from_counts(10 + index, 20 + index, 5, 3, 1, 1, 2),
-                        scale * (0.002 * (position + 1)) * (1.0 + 0.05 * index),
-                        1.0,
-                    )
-            clock = VirtualClock(
-                task_seconds=lambda task, s=stats: s.predict_runtime(
-                    task.solver, features, engine
-                )
-            )
-            solution = _virtual_solver(stats=stats, clock=clock).solve(
-                workload, deadline_ms=scale * 11.0
-            )
-            slo = solution.meta["slo"]
-            schedules.append(
-                (slo["schedule"], sorted(solution.classifiers), solution.utility)
-            )
-        assert schedules[0] == schedules[1]
-
-    def test_higher_safety_margin_admits_fewer_arms(self):
-        workload = _workload()
-        relaxed = _virtual_solver(safety=1.0).solve(workload, deadline_ms=60.0)
-        cautious = _virtual_solver(safety=1.5).solve(workload, deadline_ms=60.0)
-        assert len(cautious.meta["slo"]["schedule"]) < len(
-            relaxed.meta["slo"]["schedule"]
-        )
+    @pytest.mark.parametrize("deadline_ms", [0.0, 20.0, 60.0, None])
+    def test_every_arm_is_predicted_at_its_tier_prior(self, deadline_ms):
+        solution = _virtual_solver().solve(_workload(), deadline_ms=deadline_ms)
+        slo = solution.meta["slo"]
+        entries = slo["arms_tried"] + slo["arms_skipped"]
+        assert sorted(entry["arm"] for entry in entries) == sorted(DEFAULT_ARMS)
+        for entry in entries:
+            prior = TIER_PRIOR_SECONDS[solver_tier(entry["arm"])]
+            assert entry["predicted_ms"] == prior * 1000.0
+        for entry in slo["arms_tried"]:
+            # the tier-prior clock charges each arm what admission predicted
+            assert entry["actual_ms"] == entry["predicted_ms"]
 
     def test_skipped_arms_report_their_predictions(self):
         solution = _virtual_solver().solve(_workload(), deadline_ms=0.0)
@@ -608,35 +302,28 @@ class TestAnytimeMetaSolver:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SloConfig(arms=())
-        with pytest.raises(ValueError):
-            SloConfig(safety=0.0)
 
     def test_solve_slo_wrapper_matches_the_class(self):
         workload = _workload()
-        stats = ArmStatsStore(path=None)
-        config = SloConfig(stats=stats, clock=_prior_clock(stats), record=False)
+        config = SloConfig(clock=tier_prior_clock())
         via_wrapper = solve_slo(workload, deadline_ms=20.0, config=config)
-        stats2 = ArmStatsStore(path=None)
-        config2 = SloConfig(stats=stats2, clock=_prior_clock(stats2), record=False)
+        config2 = SloConfig(clock=tier_prior_clock())
         via_class = AnytimeMetaSolver(config2).solve(workload, deadline_ms=20.0)
         assert via_wrapper.classifiers == via_class.classifiers
         assert via_wrapper.meta["slo"]["schedule"] == via_class.meta["slo"]["schedule"]
 
     def test_system_clock_incumbent_is_certified_at_every_deadline(self):
-        """Real time, learning store, pool waves under ``REPRO_JOBS`` > 1.
+        """Real time, pool waves under ``REPRO_JOBS`` > 1.
 
-        The unbounded solve runs first and teaches the store real arm
-        runtimes.  Every answer, the 0 ms one included, must carry a
-        certificate and a valid incumbent trace, and none may beat the
-        unbounded answer: arm seeds are fixed, so a deadline only drops
+        Every answer, the 0 ms one included, must carry a certificate and
+        a valid incumbent trace, and none may beat the unbounded answer,
+        which runs first: arm seeds are fixed, so a deadline only drops
         arms.
         """
         workload = generate_fragmented(
             n_components=5, queries_per_component=6, budget=750.0, seed=3
         )
-        solver = AnytimeMetaSolver(
-            SloConfig(stats=ArmStatsStore(path=None), record=True)
-        )
+        solver = AnytimeMetaSolver()
         best = None
         for deadline in (None, 0.0, 20.0):
             solution = solver.solve(workload, deadline_ms=deadline)
@@ -729,3 +416,46 @@ class TestCli:
         payload = json.loads(report.read_text())
         assert payload["slo"]["deadline_ms"] == 0.0
         assert payload["slo"]["schedule"]
+
+    def test_json_report_is_the_same_under_every_hash_seed(self, tmp_path):
+        """Classifiers are frozensets: their order and spelling follow the
+        hash seed unless the report sorts their members."""
+        reports = []
+        for hash_seed in ("1", "2"):
+            report = tmp_path / f"slo-{hash_seed}.json"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, (str(_SRC), env.get("PYTHONPATH")))
+            )
+            subprocess.run(
+                [
+                    sys.executable,
+                    "-m",
+                    "repro.slo",
+                    "--virtual",
+                    "--deadline-ms",
+                    "20",
+                    "--components",
+                    "4",
+                    "--json",
+                    str(report),
+                ],
+                env=env,
+                cwd=tmp_path,
+                check=True,
+                capture_output=True,
+                timeout=120,
+            )
+            reports.append(report.read_bytes())
+        assert reports[0] == reports[1]
+        classifiers = json.loads(reports[0])["classifiers"]
+        assert classifiers == sorted(classifiers)
+        assert all(members == sorted(members) for members in classifiers)
+
+    def test_system_clock_run_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        from repro.slo.cli import main
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["--deadline-ms", "5", "--components", "2"]) == 0
+        assert "certified" in capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
