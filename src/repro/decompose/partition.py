@@ -5,7 +5,9 @@ interact iff some *usable* (finite-cost) classifier is a subset of both —
 i.e. iff some non-empty subset of their intersection has finite cost.
 Components of that relation never interact except through the shared
 budget (PAPER.md §2–3), which is exactly what the sharded solver
-(:func:`repro.incremental.solve_bcc_sharded`) exploits.
+(:func:`repro.incremental.solve_bcc_sharded`) exploits; its warm
+re-plans (:class:`repro.incremental.IncrementalSolver`) re-run
+:func:`partition_workload` after every workload edit.
 
 The partition computed here unions queries per shared property, walking
 the workload's property→query inverted index (the ``CompiledWorkload``
@@ -17,17 +19,13 @@ two queries.  Property-sharing is otherwise a conservative superset of
 the classifier relation (the shared singleton may itself be priced
 infinite while a larger shared subset is finite, and over-merging is
 always exact — it only forfeits parallelism, never correctness).
-
-:func:`connected_components` is the one components routine: the cold
-partition here and :class:`~repro.incremental.partition.DynamicPartition`'s
-local re-splits both run it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.bitset import active_engine
 from repro.core.model import BCCInstance, ClassifierWorkload, Query
@@ -100,12 +98,10 @@ class WorkloadPartition:
             query's workload position and queries within a shard keep
             workload order, so the partition is deterministic and
             engine-identical.
-        query_to_shard: query → shard index.
     """
 
     workload: ClassifierWorkload
     shards: Tuple[Tuple[Query, ...], ...]
-    query_to_shard: Mapping[Query, int]
 
     @property
     def num_shards(self) -> int:
@@ -168,9 +164,4 @@ def partition_workload(workload: ClassifierWorkload) -> WorkloadPartition:
         tuple(queries[position] for position in component)
         for component in connected_components(len(queries), rows)
     )
-    query_to_shard = {
-        query: index for index, shard in enumerate(shards) for query in shard
-    }
-    return WorkloadPartition(
-        workload=workload, shards=shards, query_to_shard=query_to_shard
-    )
+    return WorkloadPartition(workload=workload, shards=shards)

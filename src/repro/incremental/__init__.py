@@ -8,15 +8,12 @@ drift, classifier prices change:
 - :class:`~repro.incremental.delta.WorkloadDelta` describes one atomic
   batch of edits, validated up front and invertible
   (:meth:`~repro.incremental.delta.WorkloadDelta.inverse`);
-- :class:`~repro.incremental.partition.DynamicPartition` maintains the
-  shard decomposition across edits (incremental union for adds, local
-  rebuilds for deletes and usability flips);
 - :class:`~repro.incremental.engine.IncrementalSolver` solves the shards,
   and its :meth:`~repro.incremental.engine.IncrementalSolver.resolve_delta`
-  re-solves only the shards a delta touches, reusing solved pareto
-  profiles through a content-addressed store, and returns a solution
-  identical to — and certified like — a cold solve of the mutated
-  instance;
+  re-partitions the edited workload and re-solves only the shards whose
+  content it has not solved before, reusing solved pareto profiles
+  through a content-addressed store, and returns a solution identical
+  to — and certified like — a cold solve of the mutated instance;
 - :func:`~repro.incremental.engine.solve_bcc_sharded` is the cold entry
   (registry arm ``abcc-sharded``): an :class:`IncrementalSolver` solve
   with an empty profile store, or the inner solver on the whole instance
@@ -33,12 +30,10 @@ from repro.incremental.engine import (
     ShardProfile,
     solve_bcc_sharded,
 )
-from repro.incremental.partition import DynamicPartition
 
 __all__ = [
     "WorkloadDelta",
     "random_delta",
-    "DynamicPartition",
     "IncrementalConfig",
     "IncrementalSolver",
     "ShardProfile",

@@ -4,9 +4,7 @@ A delta is the unit of change of the dynamic-BCC layer: a frozen record
 of query additions and removals, utility reprices and classifier cost
 reprices, applied atomically by
 :meth:`repro.core.model.ClassifierWorkload.apply_delta` in the fixed
-order *removals → additions → utilities → costs*.  Everything the
-incremental engine does — partition maintenance, shard invalidation,
-profile reuse — is driven by the delta's content, so the class carries
+order *removals → additions → utilities → costs*.  The class carries
 its own validation (:meth:`WorkloadDelta.validate` simulates the full
 application before the first mutation happens) and its own inverse
 (:meth:`WorkloadDelta.inverse`, computed against the pre-application
@@ -224,16 +222,6 @@ class WorkloadDelta:
             utilities=decode(payload.get("utilities", ())),
             costs=decode(payload.get("costs", ())),
         )
-
-    def touched_queries(self, workload: ClassifierWorkload) -> Set[Query]:
-        """Queries whose shard must be re-solved, against the *post*-delta
-        workload (cost entries touch every query containing the classifier)."""
-        touched: Set[Query] = {query for query, _ in self.add}
-        touched.update(self.remove)
-        touched.update(query for query, _ in self.utilities)
-        for classifier, _ in self.costs:
-            touched.update(workload.queries_containing(classifier))
-        return touched
 
 
 def _check_utility(query: Query, utility: Optional[float]) -> None:

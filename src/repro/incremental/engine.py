@@ -5,8 +5,9 @@ through the shared budget: a classifier only helps queries that contain
 it (:mod:`repro.decompose.partition`).  :class:`IncrementalSolver` owns a
 mutable :class:`BCCInstance` and solves it shard by shard:
 
-1. the shard partition, maintained across edits by
-   :class:`~repro.incremental.partition.DynamicPartition`;
+1. the shard partition, recomputed by
+   :func:`~repro.decompose.partition.partition_workload` on every
+   re-plan;
 2. every shard missing from the profile store is solved over its
    candidate budget grid through :func:`repro.parallel.pool.run_tasks` —
    one :class:`~repro.parallel.pool.SolveTask` per (shard, budget point);
@@ -30,9 +31,11 @@ optimal over the grid of per-shard solutions.
 profile store, except that a one-shard instance runs the inner solver on
 the whole instance.  :meth:`IncrementalSolver.resolve_delta` is the warm
 one: it applies a :class:`~repro.incremental.delta.WorkloadDelta`,
-patches the partition and re-solves only the shards whose fingerprints
-missed.  Its result is *identical* to a cold solve of the mutated
-instance, and with ``certify`` every result carries a first-principles
+re-partitions, and solves only the (shard, point) pairs the profile
+store lacks.  A shard is *dirty* iff its fingerprint missed the store,
+which is the engine's one piece of warm state.  The result is
+*identical* to a cold solve of the mutated instance, and with
+``certify`` every result carries a first-principles
 :class:`~repro.verify.certificate.SolutionCertificate`.
 
 The selection union is additionally replayed through a fresh
@@ -58,8 +61,8 @@ from repro.core.errors import DecompositionError
 from repro.core.model import BCCInstance, Classifier
 from repro.core.solution import Solution, evaluate
 from repro.decompose.allocator import ProfilePoint, allocate, budget_grid
+from repro.decompose.partition import WorkloadPartition, partition_workload
 from repro.incremental.delta import WorkloadDelta
-from repro.incremental.partition import DynamicPartition
 from repro.parallel.cache import ResultCache
 from repro.parallel.clock import Clock
 from repro.parallel.fingerprint import shard_fingerprints
@@ -149,8 +152,6 @@ class IncrementalConfig:
             at 1 when the caller itself runs inside a process pool.
         cache: optional :class:`ResultCache` shared with the task layer.
         certify: attach a first-principles certificate to every result.
-        check_partition: run :meth:`DynamicPartition.check` after every
-            delta (debug backstop; quadratic-ish, keep off in production).
         clock: injected time for the dirty-shard task batches (``None``
             uses the system clock).  A virtual clock forces the batches
             serial and charges simulated seconds, which is what lets the
@@ -160,7 +161,6 @@ class IncrementalConfig:
     jobs: Optional[int] = None
     cache: Optional[ResultCache] = field(default=None, repr=False)
     certify: bool = True
-    check_partition: bool = False
     clock: Optional[Clock] = field(default=None, repr=False)
 
 
@@ -185,10 +185,8 @@ class IncrementalSolver:
         self.instance = instance
         self.config = config or IncrementalConfig()
         self.seed = seed
-        self._partition: Optional[DynamicPartition] = None
         self._profiles: "OrderedDict[str, ShardProfile]" = OrderedDict()
         self._max_profiles = MAX_STORED_PROFILES
-        self.last_solution: Optional[Solution] = None
         self.deltas_applied = 0
 
     # ------------------------------------------------------------------
@@ -196,49 +194,32 @@ class IncrementalSolver:
     # ------------------------------------------------------------------
     def solve(self) -> Solution:
         """Cold solve of the current instance (also primes the warm state)."""
-        self._partition = DynamicPartition(self.instance)
-        return self._resolve(delta=None)
+        return self._resolve(partition_workload(self.instance), delta=None)
 
     def resolve_delta(self, delta: WorkloadDelta) -> Solution:
         """Apply ``delta`` and re-plan, reusing every untouched shard.
 
         The delta is validated against the current instance before any
         mutation; the workload mutates in place (bumping its version, so
-        stale compiled views and trackers fail loudly), the partition is
-        patched incrementally, and only fingerprint-missing shards are
-        re-solved.
+        stale compiled views and trackers fail loudly), is re-partitioned,
+        and only the (shard, point) pairs the profile store lacks are
+        solved.
         """
         delta.validate(self.instance)
-        if self._partition is None:
-            self._partition = DynamicPartition(self.instance)
-        old_costs = [
-            (classifier, self.instance.cost(classifier))
-            for classifier, _ in delta.costs
-        ]
         self.instance.apply_delta(delta)
-        partition = self._partition
-        for query in delta.remove:
-            partition.note_removed(query)
-        for query, _ in delta.add:
-            partition.note_added(query)
-        for query, _ in delta.utilities:
-            partition.note_utility(query)
-        for (classifier, old), (_, _new) in zip(old_costs, delta.costs):
-            partition.note_cost(classifier, old, self.instance.cost(classifier))
-        if self.config.check_partition:
-            partition.check()
         self.deltas_applied += 1
-        return self._resolve(delta=delta)
+        return self._resolve(partition_workload(self.instance), delta=delta)
 
     # ------------------------------------------------------------------
     # the re-plan pipeline
     # ------------------------------------------------------------------
-    def _resolve(self, delta: Optional[WorkloadDelta]) -> Solution:
+    def _resolve(
+        self, partition: WorkloadPartition, delta: Optional[WorkloadDelta]
+    ) -> Solution:
         started = time.perf_counter()
         config = self.config
         instance = self.instance
         budget = instance.budget
-        partition, dirty_indexes = self._partition.materialize()
         # Every live shard's profile must survive the whole re-plan: the
         # LRU floor tracks the partition width (evicting a live profile
         # mid-resolve would fault when the allocation is assembled).
@@ -327,7 +308,6 @@ class IncrementalSolver:
 
         selection: Set[Classifier] = set()
         shard_spends: List[float] = []
-        dirty_set = set(dirty_indexes)
         clean_selection: List[Classifier] = []
         dirty_selection: List[Classifier] = []
         for index, point in enumerate(chosen):
@@ -337,7 +317,7 @@ class IncrementalSolver:
             solution = by_key[point.key]
             selection.update(solution.classifiers)
             shard_spends.append(solution.cost)
-            bucket = dirty_selection if index in dirty_set else clean_selection
+            bucket = clean_selection if reused[index] else dirty_selection
             bucket.extend(sorted(solution.classifiers, key=sorted))
 
         self._patch_and_check(clean_selection, dirty_selection)
@@ -353,7 +333,7 @@ class IncrementalSolver:
                     "deltas_applied": self.deltas_applied,
                     "delta_edits": 0 if delta is None else delta.num_edits,
                     "shards": partition.num_shards,
-                    "dirty_shards": len(dirty_indexes),
+                    "dirty_shards": reused.count(False),
                     "reused_profiles": sum(reused),
                     "solved_tasks": solved,
                     "path": path,
@@ -367,8 +347,6 @@ class IncrementalSolver:
             from repro.verify.certificate import attach_certificate
 
             result = attach_certificate(instance, result, budget=budget)
-        self._partition.mark_clean()
-        self.last_solution = result
         return result
 
     # ------------------------------------------------------------------
@@ -487,9 +465,9 @@ def solve_bcc_sharded(
     """
     started = time.perf_counter()
     solver = IncrementalSolver(instance, config, seed)
-    solver._partition = DynamicPartition(instance)
-    if solver._partition.num_components > 1:
-        return solver._resolve(delta=None)
+    partition = partition_workload(instance)
+    if partition.num_shards > 1:
+        return solver._resolve(partition, delta=None)
 
     from repro.parallel.registry import get_solver
 

@@ -3,8 +3,8 @@
 The incremental engine's contract is absolute: after any sequence of
 deltas, the warm re-plan must be *identical* to solving the mutated
 instance cold through the same pipeline — same classifiers, bit-equal
-utility and cost — and the maintained partition must equal a cold
-:func:`~repro.decompose.partition.partition_workload` run.
+utility and cost — and every shard must be either re-solved (dirty) or
+served from the profile store (reused), never both.
 :func:`check_delta_stream` drives one
 :class:`~repro.incremental.engine.IncrementalSolver` through a stream of
 deltas, re-solving a pristine clone cold at every step, and raises
@@ -36,9 +36,10 @@ def check_delta_stream(
     an independent cold solver (same config, pristine clone of the
     mutated instance) re-solves from scratch.  Divergence in the selected
     classifiers, utility or cost — bit-equal, no tolerance — raises
-    :class:`DifferentialError`, as does a maintained partition that
-    disagrees with the cold partitioner or a warm solution failing
-    first-principles certificate verification.  Returns a report dict
+    :class:`DifferentialError`, as does shard telemetry whose dirty and
+    reused counts do not sum to the shard count.  A warm solution failing
+    first-principles certificate verification raises its
+    :class:`~repro.core.errors.CertificateError`.  Returns a report dict
     with per-step reuse telemetry.
     """
     config = config or IncrementalConfig()
@@ -48,7 +49,6 @@ def check_delta_stream(
     _check_step(solver, solution, config, seed, step=0)
     for index, delta in enumerate(deltas, start=1):
         solution = solver.resolve_delta(delta)
-        solver._partition.check()
         _check_step(solver, solution, config, seed, step=index)
         info = dict(solution.meta["incremental"])
         steps.append(info)
@@ -70,6 +70,12 @@ def _check_step(
     verify_solution(
         solver.instance, warm, budget=solver.instance.budget
     )
+    info = warm.meta["incremental"]
+    if info["dirty_shards"] + info["reused_profiles"] != info["shards"]:
+        raise DifferentialError(
+            f"step {step}: {info['dirty_shards']} dirty + "
+            f"{info['reused_profiles']} reused shards != {info['shards']}"
+        )
     cold = IncrementalSolver(
         solver.instance.clone(), config=config, seed=seed
     ).solve()

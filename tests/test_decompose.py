@@ -61,9 +61,11 @@ def test_shards_partition_the_queries(instance):
     flattened = [q for shard in partition.shards for q in shard]
     assert sorted(flattened, key=sorted) == sorted(instance.queries, key=sorted)
     assert len(flattened) == len(set(flattened)) == len(instance.queries)
-    for index, shard in enumerate(partition.shards):
-        for query in shard:
-            assert partition.query_to_shard[query] == index
+    position = {query: i for i, query in enumerate(instance.queries)}
+    for shard in partition.shards:
+        assert list(shard) == sorted(shard, key=position.__getitem__)
+    firsts = [position[shard[0]] for shard in partition.shards]
+    assert firsts == sorted(firsts)
 
 
 @given(instance=bcc_instances())
@@ -71,13 +73,13 @@ def test_no_usable_classifier_crosses_shards(instance):
     """The load-bearing invariant: every finite-cost relevant classifier's
     containing queries live in one shard, so selections cannot interact."""
     partition = partition_workload(instance)
+    shard_of = {
+        query: index for index, shard in enumerate(partition.shards) for query in shard
+    }
     for classifier in instance.relevant_classifiers():
         if math.isinf(instance.cost(classifier)):
             continue
-        owners = {
-            partition.query_to_shard[q]
-            for q in instance.queries_containing(classifier)
-        }
+        owners = {shard_of[q] for q in instance.queries_containing(classifier)}
         assert len(owners) <= 1, (
             f"classifier {sorted(classifier)} is usable from shards {owners}"
         )

@@ -1,9 +1,11 @@
-"""Dynamic BCC: deltas, mutation safety, partition maintenance, warm==cold."""
+"""Dynamic BCC: deltas, mutation safety, re-plan dirtiness, warm==cold."""
 
 from __future__ import annotations
 
 import math
+import os
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,10 +19,8 @@ from repro.core.errors import (
     StaleWorkloadError,
 )
 from repro.datasets.fragmented import generate_fragmented
-from repro.decompose import partition_workload
 from repro.incremental import engine as engine_module
 from repro.incremental import (
-    DynamicPartition,
     IncrementalConfig,
     IncrementalSolver,
     WorkloadDelta,
@@ -223,67 +223,6 @@ class TestTrackerRoundTrips:
             assert (tracker.utility, tracker.spent) == before
 
 
-class TestDynamicPartition:
-    def test_add_merges_and_remove_splits(self):
-        instance = tiny_instance()
-        part = DynamicPartition(instance)
-        assert part.num_components == 3  # {ab,bc}, {de}, {fg}
-        bridge = fs("cd")
-        instance.add_query(bridge, 1.0)
-        part.note_added(bridge)
-        assert part.num_components == 2  # c--d bridges two shards
-        instance.remove_query(bridge)
-        part.note_removed(bridge)
-        part.check()
-        assert part.num_components == 3
-
-    def test_cost_reprice_flips_usability(self):
-        queries = [fs("ab"), fs("bc")]
-        costs = {fs("a"): 1.0, fs("b"): math.inf, fs("c"): 1.0,
-                 fs("ab"): math.inf, fs("bc"): math.inf, fs("abc"): math.inf}
-        instance = BCCInstance(queries, {}, costs, budget=10.0,
-                               default_cost=math.inf)
-        part = DynamicPartition(instance)
-        assert part.num_components == 2  # shared 'b' is unusable
-        instance.set_cost(fs("b"), 1.0)
-        part.note_cost(fs("b"), math.inf, 1.0)
-        part.check()
-        assert part.num_components == 1
-        instance.set_cost(fs("b"), math.inf)
-        part.note_cost(fs("b"), 1.0, math.inf)
-        part.check()
-        assert part.num_components == 2
-
-    @given(instance=bcc_instances(max_queries=6), seed=st.integers(0, 10_000))
-    @settings(max_examples=30, deadline=None)
-    def test_random_streams_match_cold_partition(self, instance, seed):
-        rng = random.Random(seed)
-        part = DynamicPartition(instance)
-        for _ in range(4):
-            delta = random_delta(instance, rng, fraction=0.4)
-            old_costs = [(c, instance.cost(c)) for c, _ in delta.costs]
-            instance.apply_delta(delta)
-            for query in delta.remove:
-                part.note_removed(query)
-            for query, _ in delta.add:
-                part.note_added(query)
-            for query, _ in delta.utilities:
-                part.note_utility(query)
-            for (classifier, old), _ in zip(old_costs, delta.costs):
-                part.note_cost(classifier, old, instance.cost(classifier))
-            part.check()
-
-    def test_materialize_matches_partition_workload(self):
-        instance = generate_fragmented(
-            n_components=3, queries_per_component=5, budget=100.0, seed=2
-        )
-        warm, dirty = DynamicPartition(instance).materialize()
-        cold = partition_workload(instance)
-        assert warm.shards == cold.shards
-        assert dict(warm.query_to_shard) == dict(cold.query_to_shard)
-        assert dirty == tuple(range(len(cold.shards)))  # initially all dirty
-
-
 class TestEffectiveJobs:
     """Satellite 3: the cold fan-out regression on small shard batches."""
 
@@ -301,8 +240,6 @@ class TestEffectiveJobs:
 
     def test_jobs_clamped_by_cpus_and_tasks(self):
         tasks = self._tasks(num_queries=TINY_SHARD_QUERIES + 1)
-        import os
-
         assert effective_jobs(64, tasks) <= min(os.cpu_count() or 1, len(tasks))
         assert effective_jobs(1, tasks) == 1
 
@@ -323,7 +260,12 @@ class TestEffectiveJobs:
 
 
 class TestIncrementalEngine:
-    CFG = IncrementalConfig(certify=True, check_partition=True)
+    CFG = IncrementalConfig(certify=True)
+
+    def _assert_equals_cold(self, solver, warm):
+        cold = IncrementalSolver(solver.instance.clone(), self.CFG).solve()
+        assert warm.classifiers == cold.classifiers
+        assert (warm.utility, warm.cost) == (cold.utility, cold.cost)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_warm_equals_cold_nonbinding(self, engine):
@@ -375,6 +317,70 @@ class TestIncrementalEngine:
         assert info["reused_profiles"] == info["shards"] - 1
         assert info["solved_tasks"] == 1
 
+    def test_bridge_add_merges_and_remove_splits(self):
+        solver = IncrementalSolver(tiny_instance(), self.CFG)
+        assert solver.solve().meta["incremental"]["shards"] == 3  # {ab,bc}, {de}, {fg}
+        bridge = fs("cd")
+        warm = solver.resolve_delta(WorkloadDelta.of(add={bridge: 1.0}))
+        assert warm.meta["incremental"]["shards"] == 2  # c--d bridges two shards
+        self._assert_equals_cold(solver, warm)
+        # The split restores the three original shards, all already solved:
+        # none is dirty, nothing runs.
+        warm = solver.resolve_delta(WorkloadDelta.of(remove=[bridge]))
+        info = warm.meta["incremental"]
+        assert info["shards"] == 3
+        assert (info["dirty_shards"], info["reused_profiles"]) == (0, 3)
+        assert info["solved_tasks"] == 0
+        self._assert_equals_cold(solver, warm)
+
+    def test_cost_reprice_merges_and_splits(self):
+        queries = [fs("ab"), fs("bc")]
+        costs = {fs("a"): 1.0, fs("b"): math.inf, fs("c"): 1.0,
+                 fs("ab"): math.inf, fs("bc"): math.inf, fs("abc"): math.inf}
+        instance = BCCInstance(queries, {}, costs, budget=10.0,
+                               default_cost=math.inf)
+        solver = IncrementalSolver(instance, self.CFG)
+        assert solver.solve().meta["incremental"]["shards"] == 2  # 'b' is unusable
+        warm = solver.resolve_delta(WorkloadDelta.of(costs={fs("b"): 1.0}))
+        assert warm.meta["incremental"]["shards"] == 1
+        self._assert_equals_cold(solver, warm)
+        warm = solver.resolve_delta(WorkloadDelta.of(costs={fs("b"): math.inf}))
+        info = warm.meta["incremental"]
+        assert info["shards"] == 2
+        assert (info["dirty_shards"], info["reused_profiles"]) == (0, 2)
+        self._assert_equals_cold(solver, warm)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two CPUs")
+    def test_replan_fans_out_to_two_workers(self, monkeypatch):
+        # Shards of 16 queries are not tiny, so their re-plan batches leave
+        # the process; the answers must not depend on the worker count.
+        run_tasks = engine_module.run_tasks
+        jobs = []
+
+        def spy(tasks, config):
+            jobs.append(config.jobs)
+            return run_tasks(tasks, config)
+
+        monkeypatch.setattr(engine_module, "run_tasks", spy)
+        instance = generate_fragmented(
+            n_components=3, queries_per_component=16, budget=1e6, seed=4
+        )
+        answers = {}
+        for workers in (1, 2):
+            config = IncrementalConfig(jobs=workers, certify=False)
+            solver = IncrementalSolver(instance.clone(), config)
+            solver.solve()
+            rng = random.Random(2)
+            jobs.clear()
+            answers[workers] = [
+                solver.resolve_delta(random_delta(solver.instance, rng, fraction=0.1))
+                for _ in range(2)
+            ]
+        assert 2 in jobs
+        for one, two in zip(answers[1], answers[2]):
+            assert one.classifiers == two.classifiers
+            assert (one.utility, one.cost) == (two.utility, two.cost)
+
     def test_profile_store_never_exceeds_its_cap(self, monkeypatch):
         # A cap below the partition width: the floor of two profiles per
         # live shard takes over, and the LRU must evict to stay there.
@@ -423,6 +429,17 @@ class TestIncrementalEngine:
         )
         with pytest.raises((DifferentialError, Exception)):
             _check_step(solver, tampered, self.CFG, None, step=0)
+
+    def test_harness_catches_dirty_count_overlap(self):
+        solver = IncrementalSolver(tiny_instance(budget=1e6), self.CFG)
+        warm = solver.solve()
+        info = dict(warm.meta["incremental"])
+        info["reused_profiles"] = 1  # a shard counted both dirty and reused
+        overlapping = replace(warm, meta={**warm.meta, "incremental": info})
+        from repro.verify.incremental import _check_step
+
+        with pytest.raises(DifferentialError, match="dirty"):
+            _check_step(solver, overlapping, self.CFG, None, step=0)
 
     def test_patch_round_trip_guard(self):
         # The tracker patch check runs on every re-plan; a healthy run
