@@ -374,17 +374,9 @@ def _swap_polish(
 
 
 def solve_bcc(
-    instance: BCCInstance,
-    config: Optional[AbccConfig] = None,
-    certify: bool = False,
+    instance: BCCInstance, config: Optional[AbccConfig] = None
 ) -> Solution:
     """Run ``A^BCC`` on ``instance`` and return an evaluated solution.
-
-    With ``certify``, the result is independently verified against the
-    instance (coverage/cost/utility re-derived from first principles,
-    budget feasibility checked) and the witness certificate is recorded in
-    ``solution.meta["certificate"]``; any disagreement raises a typed
-    :class:`~repro.core.errors.CertificateError`.
 
     When a :mod:`repro.profile` profiler is active — or ``REPRO_PROFILE=1``
     asks for a solve-scoped one — per-phase seconds and probe/rebuild
@@ -395,18 +387,16 @@ def solve_bcc(
     prof = current_profiler()
     if prof is None and profiling_enabled():
         with activate(PhaseProfiler()) as prof:
-            solution = _solve_bcc_impl(instance, config, certify)
+            solution = _solve_bcc_impl(instance, config)
     else:
-        solution = _solve_bcc_impl(instance, config, certify)
+        solution = _solve_bcc_impl(instance, config)
     if prof is not None:
         solution.meta["profile"] = prof.snapshot()
     return solution
 
 
 def _solve_bcc_impl(
-    instance: BCCInstance,
-    config: Optional[AbccConfig],
-    certify: bool,
+    instance: BCCInstance, config: Optional[AbccConfig]
 ) -> Solution:
     config = config or AbccConfig()
     started = time.perf_counter()
@@ -532,7 +522,7 @@ def _solve_bcc_impl(
         prof.add_count("rebuilds_avoided", residual.stats["rebuilds_avoided"])
         prof.add_count("tracker_resets", residual.stats["resets"])
 
-    solution = evaluate(
+    return evaluate(
         instance,
         final_selection,
         meta={
@@ -552,8 +542,3 @@ def _solve_bcc_impl(
             },
         },
     )
-    if certify:
-        from repro.verify.certificate import attach_certificate
-
-        attach_certificate(instance, solution, budget=instance.budget)
-    return solution

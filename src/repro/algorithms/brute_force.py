@@ -20,11 +20,8 @@ from repro.core.solution import Solution, evaluate
 _MAX_CLASSIFIERS = 24
 
 
-def solve_bcc_exact(instance: BCCInstance, certify: bool = False) -> Solution:
+def solve_bcc_exact(instance: BCCInstance) -> Solution:
     """Provably optimal BCC solution (small instances only).
-
-    With ``certify``, the result is verified from first principles and the
-    witness certificate lands in ``solution.meta["certificate"]``.
 
     Raises:
         ValueError: if the feasible classifier set is too large.
@@ -78,11 +75,4 @@ def solve_bcc_exact(instance: BCCInstance, certify: bool = False) -> Solution:
         search(index + 1, chosen, cost)
 
     search(0, [], 0.0)
-    solution = evaluate(
-        instance, best_selection, meta={"algorithm": "brute-force"}
-    )
-    if certify:
-        from repro.verify.certificate import attach_certificate
-
-        attach_certificate(instance, solution, budget=instance.budget)
-    return solution
+    return evaluate(instance, best_selection, meta={"algorithm": "brute-force"})

@@ -124,12 +124,8 @@ def _compress(instance: ECCInstance, selection: FrozenSet[Classifier]) -> Frozen
     return compressed
 
 
-def solve_ecc(instance: ECCInstance, certify: bool = False) -> Solution:
-    """Run ``A^ECC`` and return the evaluated best-ratio solution.
-
-    With ``certify``, the result is verified from first principles and the
-    witness certificate lands in ``solution.meta["certificate"]``.
-    """
+def solve_ecc(instance: ECCInstance) -> Solution:
+    """Run ``A^ECC`` and return the evaluated best-ratio solution."""
     arms: List[Tuple[str, Optional[FrozenSet[Classifier]]]] = [
         ("graph-exact", _graph_arm(instance)),
         ("hypergraph-peeling", _hypergraph_arm(instance)),
@@ -150,8 +146,4 @@ def solve_ecc(instance: ECCInstance, certify: bool = False) -> Solution:
                 best = candidate
     if best is None:
         best = evaluate(instance, [], meta={"algorithm": "A^ECC", "arm": "empty"})
-    if certify:
-        from repro.verify.certificate import attach_certificate
-
-        attach_certificate(instance, best)
     return best

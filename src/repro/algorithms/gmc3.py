@@ -151,12 +151,8 @@ def _attempt(
     )
 
 
-def solve_gmc3(instance: GMC3Instance, certify: bool = False) -> Solution:
+def solve_gmc3(instance: GMC3Instance) -> Solution:
     """Run ``A^GMC3`` and return the cheapest target-reaching solution found.
-
-    With ``certify``, the result is verified from first principles —
-    including that the certified utility actually reaches the target —
-    and the witness certificate lands in ``solution.meta["certificate"]``.
 
     Raises:
         InfeasibleTargetError: if the target exceeds the total utility of
@@ -217,7 +213,7 @@ def solve_gmc3(instance: GMC3Instance, certify: bool = False) -> Solution:
         from repro.mc3 import solve_mc3
 
         best = (solve_mc3(instance, queries=coverable), 0.0)
-    solution = evaluate(
+    return evaluate(
         instance,
         best[0],
         meta={
@@ -227,8 +223,3 @@ def solve_gmc3(instance: GMC3Instance, certify: bool = False) -> Solution:
             "reached_target": True,
         },
     )
-    if certify:
-        from repro.verify.certificate import attach_certificate
-
-        attach_certificate(instance, solution, target=instance.target)
-    return solution

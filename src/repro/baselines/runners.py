@@ -5,10 +5,9 @@
 - *cover* mode (ECC): unconstrained budget, run until everything coverable
   is covered, return the best utility/cost snapshot along the way.
 
-Every entry point takes ``certify=``: when set, the returned solution is
-independently verified (``repro.verify``) — budget feasibility in budget
-mode, target attainment in target mode — and the witness certificate is
-recorded in ``solution.meta["certificate"]``.
+Every entry point returns the evaluated selection and nothing else; a
+caller that needs a certificate passes it to
+:func:`repro.verify.certificate.attach_certificate`.
 """
 
 from __future__ import annotations
@@ -25,9 +24,7 @@ from repro.core.model import BCCInstance, ECCInstance, GMC3Instance
 from repro.core.solution import Solution, evaluate
 
 
-def _run_budget(
-    selector: BaseSelector, instance: BCCInstance, name: str, certify: bool
-) -> Solution:
+def _run_budget(selector: BaseSelector, instance: BCCInstance, name: str) -> Solution:
     remaining = instance.budget
     steps = 0
     while True:
@@ -36,19 +33,12 @@ def _run_budget(
             break
         remaining -= selector.add(move)
         steps += 1
-    solution = evaluate(
+    return evaluate(
         instance, selector.selected, meta={"algorithm": name, "steps": steps}
     )
-    if certify:
-        from repro.verify.certificate import attach_certificate
-
-        attach_certificate(instance, solution, budget=instance.budget)
-    return solution
 
 
-def _run_target(
-    selector: BaseSelector, instance: GMC3Instance, name: str, certify: bool
-) -> Solution:
+def _run_target(selector: BaseSelector, instance: GMC3Instance, name: str) -> Solution:
     steps = 0
     while selector.utility < instance.target:
         move = selector.step(None)
@@ -56,7 +46,7 @@ def _run_target(
             break
         selector.add(move)
         steps += 1
-    solution = evaluate(
+    return evaluate(
         instance,
         selector.selected,
         meta={
@@ -65,16 +55,9 @@ def _run_target(
             "reached_target": selector.utility >= instance.target,
         },
     )
-    if certify:
-        from repro.verify.certificate import attach_certificate
-
-        attach_certificate(instance, solution, target=instance.target)
-    return solution
 
 
-def _run_cover(
-    selector: BaseSelector, instance: ECCInstance, name: str, certify: bool
-) -> Solution:
+def _run_cover(selector: BaseSelector, instance: ECCInstance, name: str) -> Solution:
     best_ratio = -math.inf
     best_selection = frozenset()
     spent = 0.0
@@ -90,59 +73,54 @@ def _run_cover(
         if utility > 0 and ratio > best_ratio:
             best_ratio = ratio
             best_selection = selector.selected
-    solution = evaluate(
+    return evaluate(
         instance, best_selection, meta={"algorithm": name, "steps": steps}
     )
-    if certify:
-        from repro.verify.certificate import attach_certificate
-
-        attach_certificate(instance, solution)
-    return solution
 
 
 # ----------------------------------------------------------------------
 # public entry points
 # ----------------------------------------------------------------------
-def rand_bcc(instance: BCCInstance, seed: int = 0, certify: bool = False) -> Solution:
+def rand_bcc(instance: BCCInstance, seed: int = 0) -> Solution:
     """RAND baseline under a budget (Section 6.1)."""
-    return _run_budget(RandomSelector(instance, seed=seed), instance, "RAND", certify)
+    return _run_budget(RandomSelector(instance, seed=seed), instance, "RAND")
 
 
-def ig1_bcc(instance: BCCInstance, certify: bool = False) -> Solution:
+def ig1_bcc(instance: BCCInstance) -> Solution:
     """IG1 baseline under a budget (Section 6.1)."""
-    return _run_budget(IG1Selector(instance), instance, "IG1", certify)
+    return _run_budget(IG1Selector(instance), instance, "IG1")
 
 
-def ig2_bcc(instance: BCCInstance, certify: bool = False) -> Solution:
+def ig2_bcc(instance: BCCInstance) -> Solution:
     """IG2 baseline under a budget (Section 6.1)."""
-    return _run_budget(IG2Selector(instance), instance, "IG2", certify)
+    return _run_budget(IG2Selector(instance), instance, "IG2")
 
 
-def rand_gmc3(instance: GMC3Instance, seed: int = 0, certify: bool = False) -> Solution:
+def rand_gmc3(instance: GMC3Instance, seed: int = 0) -> Solution:
     """RAND(G) baseline: random until the utility target is reached."""
-    return _run_target(RandomSelector(instance, seed=seed), instance, "RAND(G)", certify)
+    return _run_target(RandomSelector(instance, seed=seed), instance, "RAND(G)")
 
 
-def ig1_gmc3(instance: GMC3Instance, certify: bool = False) -> Solution:
+def ig1_gmc3(instance: GMC3Instance) -> Solution:
     """IG1(G) baseline: per-query greedy until the target is reached."""
-    return _run_target(IG1Selector(instance), instance, "IG1(G)", certify)
+    return _run_target(IG1Selector(instance), instance, "IG1(G)")
 
 
-def ig2_gmc3(instance: GMC3Instance, certify: bool = False) -> Solution:
+def ig2_gmc3(instance: GMC3Instance) -> Solution:
     """IG2(G) baseline: per-classifier greedy until the target is reached."""
-    return _run_target(IG2Selector(instance), instance, "IG2(G)", certify)
+    return _run_target(IG2Selector(instance), instance, "IG2(G)")
 
 
-def rand_ecc(instance: ECCInstance, seed: int = 0, certify: bool = False) -> Solution:
+def rand_ecc(instance: ECCInstance, seed: int = 0) -> Solution:
     """RAND(E) baseline: random until all covered; best-ratio snapshot."""
-    return _run_cover(RandomSelector(instance, seed=seed), instance, "RAND(E)", certify)
+    return _run_cover(RandomSelector(instance, seed=seed), instance, "RAND(E)")
 
 
-def ig1_ecc(instance: ECCInstance, certify: bool = False) -> Solution:
+def ig1_ecc(instance: ECCInstance) -> Solution:
     """IG1(E) baseline: per-query greedy; best-ratio snapshot."""
-    return _run_cover(IG1Selector(instance), instance, "IG1(E)", certify)
+    return _run_cover(IG1Selector(instance), instance, "IG1(E)")
 
 
-def ig2_ecc(instance: ECCInstance, certify: bool = False) -> Solution:
+def ig2_ecc(instance: ECCInstance) -> Solution:
     """IG2(E) baseline: per-classifier greedy; best-ratio snapshot."""
-    return _run_cover(IG2Selector(instance), instance, "IG2(E)", certify)
+    return _run_cover(IG2Selector(instance), instance, "IG2(E)")

@@ -7,13 +7,11 @@ of [41] typically recovers 65%–80%+ of the optimum; the portfolio plays the
 same role here and is what "close to optimal in practice" rests on.
 
 Arms are independent: every engine receives its *own* freshly seeded RNG
-(``random.Random(seed)``), so no arm observes another's draws and the
-arms can run out of order — or in parallel (``jobs > 1``) — with results
-bit-identical to the sequential sweep.  (This also matches the historical
-serial behavior: no engine ahead of the Lovász arm consumed randomness
-from the formerly shared RNG.)  The winner is reduced in configured
-engine order with a strict improvement rule, so ties resolve identically
-on every path.
+(``random.Random(seed)``), so no arm observes another's draws.  (This
+matches the historical behavior: no engine ahead of the Lovász arm
+consumed randomness from the formerly shared RNG.)  The arms run
+in-process in configured engine order, and the winner is reduced in that
+order with a strict improvement rule.
 
 The portfolio runs on one :class:`~repro.graphs.indexed.IndexedGraph`
 snapshot: ``A_H^QK`` hands it the one its
@@ -25,7 +23,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Optional, Sequence
 
 from repro.dks.expansion import solve_expansion
 from repro.dks.local_search import improve_by_swaps
@@ -53,9 +51,8 @@ _POLISHED = ("peeling", "expansion")
 _LARGE_GRAPH_NODES = 4_000
 
 
-def _solve_arm(args: Tuple[str, IndexedGraph, int, int]) -> FrozenSet[Node]:
-    """One portfolio arm (module-level so the process pool can pickle it)."""
-    name, graph, k, seed = args
+def _solve_arm(name: str, graph: IndexedGraph, k: int, seed: int) -> FrozenSet[Node]:
+    """One portfolio arm, polished when it is a combinatorial one."""
     candidate = ENGINES[name](graph, k, random.Random(seed))
     if name in _POLISHED:
         candidate = improve_by_swaps(graph, candidate)
@@ -69,14 +66,10 @@ class HksPortfolio:
     Attributes:
         engines: names from :data:`ENGINES` to run.
         seed: RNG seed; every arm derives an independent RNG from it.
-        jobs: worker processes for the arms (1 = sequential, the
-            default; ``None`` defers to ``REPRO_JOBS``).  Results are
-            identical for every value.
     """
 
     engines: Sequence[str] = ("peeling", "expansion", "lovasz", "spectral")
     seed: int = 0
-    jobs: Optional[int] = 1
 
     def solve(self, graph: IndexedGraph, k: int) -> FrozenSet[Node]:
         """Run every configured engine and return the heaviest selection."""
@@ -95,18 +88,10 @@ class HksPortfolio:
             for name in self.engines
             if not (nodes_count > _LARGE_GRAPH_NODES and name in ("lovasz", "spectral"))
         ]
-        arm_args = [(name, graph, k, self.seed) for name in runnable]
-
-        from repro.parallel.pool import pmap, resolve_jobs
-
-        jobs = resolve_jobs(self.jobs)
         with phase("hks_arms"):
-            candidates = pmap(
-                _solve_arm, arm_args, jobs=min(jobs, max(1, len(arm_args)))
-            )
+            candidates = [_solve_arm(name, graph, k, self.seed) for name in runnable]
 
-        # Reduce in configured engine order with strict improvement, so the
-        # winner is independent of arm completion order.
+        # Reduce in configured engine order with strict improvement.
         best_set: FrozenSet[Node] = frozenset()
         best_weight = -1.0
         for candidate in candidates:
@@ -122,9 +107,8 @@ def solve_hks(
     k: int,
     engines: Sequence[str] = ("peeling", "expansion", "lovasz", "spectral"),
     seed: int = 0,
-    jobs: Optional[int] = 1,
 ) -> FrozenSet[Node]:
     """One-shot helper around :class:`HksPortfolio` for a :class:`WeightedGraph`."""
-    return HksPortfolio(engines=engines, seed=seed, jobs=jobs).solve(
+    return HksPortfolio(engines=engines, seed=seed).solve(
         IndexedGraph.from_graph(graph), k
     )

@@ -8,8 +8,8 @@ them as tables, and ``benchmarks/bench_<figure>.py`` wraps them for
 pytest-benchmark.
 """
 
-from repro.experiments.runner import FigureResult, Row, timed
+from repro.experiments.runner import FigureResult, Row
 from repro.experiments import figures
 from repro.experiments.report import render_bars, render_table
 
-__all__ = ["FigureResult", "Row", "timed", "figures", "render_table", "render_bars"]
+__all__ = ["FigureResult", "Row", "figures", "render_table", "render_bars"]

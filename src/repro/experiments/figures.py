@@ -542,9 +542,7 @@ def figdrift(
         budget=1_000_000.0,
         seed=seed,
     )
-    config = IncrementalConfig(
-        certify=True, jobs=None if parallel is None else parallel.jobs
-    )
+    config = IncrementalConfig(jobs=None if parallel is None else parallel.jobs)
     result = FigureResult(
         figure="figdrift",
         title="Warm re-plan speedup by delta size (dynamic BCC)",

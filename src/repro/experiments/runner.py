@@ -1,12 +1,11 @@
-"""Shared experiment infrastructure: timing, result records, sweeps."""
+"""Shared experiment infrastructure: result records and sweeps."""
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.solution import Solution
 
@@ -107,59 +106,6 @@ class FigureResult:
     def digest(self, include_seconds: bool = True) -> str:
         """Hex SHA-256 of :meth:`canonical` — the row-stability fingerprint."""
         return hashlib.sha256(self.canonical(include_seconds).encode("utf-8")).hexdigest()
-
-
-def timed(fn: Callable[[], Solution]) -> Tuple[Solution, float]:
-    """Run ``fn`` and return ``(result, wall seconds)``."""
-    start = time.perf_counter()
-    result = fn()
-    return result, time.perf_counter() - start
-
-
-class _TimedTrial:
-    """Picklable per-seed trial runner (module-level for the process pool)."""
-
-    def __init__(self, run: Callable[[int], Solution]) -> None:
-        self.run = run
-
-    def __call__(self, seed: int) -> Tuple[Solution, float]:
-        start = time.perf_counter()
-        solution = self.run(seed)
-        return solution, time.perf_counter() - start
-
-
-def averaged_random(
-    run: Callable[[int], Solution],
-    repeats: int = 5,
-    jobs: Optional[int] = 1,
-) -> Tuple[float, float, Solution]:
-    """Average a randomized baseline over ``repeats`` seeds (paper: 5).
-
-    Every trial receives its own seed — the trial index, matching the
-    paper's "5 seeds" convention — and ``run`` must be a *pure function of
-    that seed*: no RNG state may be shared between trials, so trials can
-    execute out of order or in parallel (``jobs > 1``; ``run`` must then
-    be picklable) without changing the answer.  Values accumulate in
-    trial-index order regardless of completion order, keeping the mean
-    bit-identical across serial and parallel execution.
-
-    Returns ``(mean value, total seconds, last solution)``; the caller
-    decides whether value means utility, cost or ratio via ``run``.
-    """
-    from repro.parallel.pool import pmap
-
-    if repeats < 1:
-        raise ValueError(f"repeats must be >= 1, got {repeats}")
-    outcomes = pmap(_TimedTrial(run), list(range(repeats)), jobs=jobs)
-    total_value = 0.0
-    total_seconds = 0.0
-    last: Optional[Solution] = None
-    for solution, seconds in outcomes:  # trial-index order, not completion order
-        total_value += solution.utility
-        total_seconds += seconds
-        last = solution
-    assert last is not None
-    return total_value / repeats, total_seconds, last
 
 
 def mean_in_order(values: List[float]) -> float:

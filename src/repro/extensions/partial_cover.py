@@ -145,7 +145,6 @@ def solve_partial_bcc(
     model: PartialCoverModel,
     warm_start: bool = True,
     max_steps: int = 10_000,
-    certify: bool = False,
 ) -> FrozenSet[Classifier]:
     """Credit-aware greedy for the partial-cover model.
 
@@ -154,9 +153,8 @@ def solve_partial_bcc(
     and keeps whichever scores better under the model: the warm start is
     exactly right under a step credit, but under partial credit it can
     lock the budget into all-or-nothing picks a cold greedy avoids.
-
-    With ``certify``, the returned selection is re-checked against the
-    credited objective via :func:`certify_partial_cover`.
+    :func:`certify_partial_cover` re-checks the returned selection
+    against the credited objective.
     """
     instance = model.instance
     starts: List[Set[Classifier]] = [set()]
@@ -170,8 +168,6 @@ def solve_partial_bcc(
         if utility > best_utility:
             best_utility = utility
             best_selection = selection
-    if certify:
-        certify_partial_cover(model, best_selection)
     return frozenset(best_selection)
 
 

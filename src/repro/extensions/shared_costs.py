@@ -114,16 +114,14 @@ def certify_shared_cost(
 
 
 def solve_shared_cost_bcc(
-    model: SharedCostModel, max_steps: int = 10_000, certify: bool = False
+    model: SharedCostModel, max_steps: int = 10_000
 ) -> FrozenSet[Classifier]:
     """Greedy for the shared-cost model: utility per *marginal* cost.
 
     Pair-aware: also considers buying a whole 2-cover in one step (a
     fresh pair has zero single-classifier gain), mirroring the greedy
-    fill of the base solver.
-
-    With ``certify``, the returned selection is re-checked against the
-    shared-cost objective via :func:`certify_shared_cost`.
+    fill of the base solver.  :func:`certify_shared_cost` re-checks the
+    returned selection against the shared-cost objective.
     """
     instance = model.instance
     tracker = CoverageTracker(instance)
@@ -194,6 +192,4 @@ def solve_shared_cost_bcc(
             tracker.add(classifier)
             paid |= classifier
         spent += best_cost
-    if certify:
-        certify_shared_cost(model, selection)
     return frozenset(selection)

@@ -13,7 +13,7 @@ drift, classifier prices change:
   re-partitions the edited workload and re-solves only the shards whose
   content it has not solved before, reusing solved pareto profiles
   through a content-addressed store, and returns a solution identical
-  to — and certified like — a cold solve of the mutated instance;
+  to a cold solve of the mutated instance;
 - :func:`~repro.incremental.engine.solve_bcc_sharded` is the cold entry
   (registry arm ``abcc-sharded``): an :class:`IncrementalSolver` solve
   with an empty profile store, or the inner solver on the whole instance

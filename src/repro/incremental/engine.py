@@ -32,11 +32,13 @@ profile store, except that a one-shard instance runs the inner solver on
 the whole instance.  :meth:`IncrementalSolver.resolve_delta` is the warm
 one: it applies a :class:`~repro.incremental.delta.WorkloadDelta`,
 re-partitions, and solves only the (shard, point) pairs the profile
-store lacks.  A shard is *dirty* iff its fingerprint missed the store,
-which is the engine's one piece of warm state.  The result is
-*identical* to a cold solve of the mutated instance, and with
-``certify`` every result carries a first-principles
-:class:`~repro.verify.certificate.SolutionCertificate`.
+store lacks.  A shard is *dirty* iff a task ran for it, and *reused*
+iff the store, the engine's one piece of warm state, served it whole.
+(A shard whose fingerprint hit can still be dirty: a profile stored
+under a non-binding budget holds one point, so a binding budget needs
+its grid.)  The result is *identical* to a cold solve of the mutated
+instance.  It carries no certificate: a caller that reads one attaches
+it (:func:`repro.verify.certificate.attach_certificate`).
 
 The selection union is additionally replayed through a fresh
 :class:`~repro.core.coverage.CoverageTracker` using the checkpoint /
@@ -151,7 +153,6 @@ class IncrementalConfig:
             ``REPRO_JOBS``; tiny batches run serially either way).  Keep
             at 1 when the caller itself runs inside a process pool.
         cache: optional :class:`ResultCache` shared with the task layer.
-        certify: attach a first-principles certificate to every result.
         clock: injected time for the dirty-shard task batches (``None``
             uses the system clock).  A virtual clock forces the batches
             serial and charges simulated seconds, which is what lets the
@@ -160,7 +161,6 @@ class IncrementalConfig:
 
     jobs: Optional[int] = None
     cache: Optional[ResultCache] = field(default=None, repr=False)
-    certify: bool = True
     clock: Optional[Clock] = field(default=None, repr=False)
 
 
@@ -217,7 +217,6 @@ class IncrementalSolver:
         self, partition: WorkloadPartition, delta: Optional[WorkloadDelta]
     ) -> Solution:
         started = time.perf_counter()
-        config = self.config
         instance = self.instance
         budget = instance.budget
         # Every live shard's profile must survive the whole re-plan: the
@@ -236,10 +235,11 @@ class IncrementalSolver:
                 shard_cache[index] = partition.shard_instance(index, 0.0)
             return shard_cache[index]
 
-        reused = [fp in self._profiles for fp in fingerprints]
         totals = [
-            self._profiles[fp].total if hit else float(sum(_finite_costs(shard_at(index))))
-            for index, (fp, hit) in enumerate(zip(fingerprints, reused))
+            self._profiles[fp].total
+            if fp in self._profiles
+            else float(sum(_finite_costs(shard_at(index))))
+            for index, fp in enumerate(fingerprints)
         ]
 
         non_binding = sum(totals) <= budget + _TOL
@@ -267,6 +267,7 @@ class IncrementalSolver:
             ]
 
         solved = self._solve_missing(shard_at, fingerprints, grids, totals)
+        dirty = set(solved)
 
         profiles: List[List[ProfilePoint]] = []
         by_key: Dict[str, Solution] = {}
@@ -317,7 +318,7 @@ class IncrementalSolver:
             solution = by_key[point.key]
             selection.update(solution.classifiers)
             shard_spends.append(solution.cost)
-            bucket = clean_selection if reused[index] else dirty_selection
+            bucket = dirty_selection if index in dirty else clean_selection
             bucket.extend(sorted(solution.classifiers, key=sorted))
 
         self._patch_and_check(clean_selection, dirty_selection)
@@ -333,9 +334,9 @@ class IncrementalSolver:
                     "deltas_applied": self.deltas_applied,
                     "delta_edits": 0 if delta is None else delta.num_edits,
                     "shards": partition.num_shards,
-                    "dirty_shards": reused.count(False),
-                    "reused_profiles": sum(reused),
-                    "solved_tasks": solved,
+                    "dirty_shards": len(dirty),
+                    "reused_profiles": partition.num_shards - len(dirty),
+                    "solved_tasks": len(solved),
                     "path": path,
                     "grid_sizes": [len(grid) for grid in grids],
                 },
@@ -343,10 +344,6 @@ class IncrementalSolver:
             },
         )
         _check_composition(result, allocated_utility, shard_spends, list(chosen))
-        if config.certify:
-            from repro.verify.certificate import attach_certificate
-
-            result = attach_certificate(instance, result, budget=budget)
         return result
 
     # ------------------------------------------------------------------
@@ -364,12 +361,12 @@ class IncrementalSolver:
         fingerprints: Sequence[str],
         grids: Sequence[Sequence[float]],
         totals: Sequence[float],
-    ) -> int:
+    ) -> List[int]:
         """Run the inner solver for every (shard, point) not in the store.
 
-        Tasks are keyed and seeded by the shard *fingerprint*, not its
-        index, so a shard keeps its derived seeds (and its cache rows)
-        across re-partitionings.
+        Returns the shard index of each task run.  Tasks are keyed and
+        seeded by the shard *fingerprint*, not its index, so a shard keeps
+        its derived seeds (and its cache rows) across re-partitionings.
         """
         config = self.config
         tasks: List[SolveTask] = []
@@ -388,7 +385,6 @@ class IncrementalSolver:
                         seed=seed_for(
                             "incremental", INNER_SOLVER, self.seed, fp, float(point)
                         ),
-                        certify=False,
                     )
                 )
                 owners.append((fp, index, point))
@@ -406,7 +402,7 @@ class IncrementalSolver:
                     )
                 profile.solutions[f"b={point!r}"] = result.solution
                 self._store(profile)
-        return len(tasks)
+        return [index for _fp, index, _point in owners]
 
     # ------------------------------------------------------------------
     # tracker patching: checkpoint / rollback integrity on every re-plan
@@ -454,9 +450,9 @@ def solve_bcc_sharded(
     """Solve ``instance`` by decomposition into independent shards.
 
     Drop-in alternative to :func:`~repro.algorithms.bcc.solve_bcc`: a
-    cold :class:`IncrementalSolver` solve, certified when
-    ``config.certify`` is set.  ``seed`` feeds the per-shard derived seeds
-    of randomized inner solvers; deterministic inner solvers ignore it.
+    cold :class:`IncrementalSolver` solve, returned without a
+    certificate.  ``seed`` feeds the per-shard derived seeds of
+    randomized inner solvers; deterministic inner solvers ignore it.
 
     A one-shard instance runs the inner solver once on the whole instance
     instead: under a binding budget the grid pipeline would solve up to
@@ -464,14 +460,13 @@ def solve_bcc_sharded(
     different selection than the inner solver does.
     """
     started = time.perf_counter()
-    solver = IncrementalSolver(instance, config, seed)
     partition = partition_workload(instance)
     if partition.num_shards > 1:
-        return solver._resolve(partition, delta=None)
+        return IncrementalSolver(instance, config, seed)._resolve(partition, delta=None)
 
     from repro.parallel.registry import get_solver
 
-    solution = get_solver(INNER_SOLVER)(instance, seed, solver.config.certify)
+    solution = get_solver(INNER_SOLVER)(instance, seed)
     meta = dict(solution.meta)
     meta["incremental"] = {
         "version": getattr(instance, "version", 0),

@@ -19,21 +19,15 @@ def solve_mc3(
     queries: Optional[Iterable[Query]] = None,
     available: Optional[Iterable[Classifier]] = None,
     preselected: FrozenSet[Classifier] = frozenset(),
-    certify: bool = False,
 ) -> FrozenSet[Classifier]:
     """Minimum-cost classifier set covering all target queries.
 
     Exact for workloads with ``l <= 2``; hybrid exact + greedy otherwise.
-    With ``certify``, the returned set is re-checked from first principles
-    (every target query covered by selected-or-preselected subsets, all
-    selected costs finite) before being returned.
+    :func:`repro.verify.certificate.verify_cover` re-checks a full cover
+    from first principles.
 
     Raises:
         InfeasibleCoverError: if some query has no finite-cost cover.
-        CoverageCertificateError: with ``certify``, if the produced set
-            fails the independent coverage re-check.
-        CostCertificateError: with ``certify``, if an infinite-cost
-            classifier was selected.
     """
     targets = (
         sorted(queries, key=sorted) if queries is not None else list(workload.queries)
@@ -52,32 +46,7 @@ def solve_mc3(
             preselected=preselected | selected,
         )
         selected = selected | extension
-    if certify:
-        _certify_cover(workload, targets, selected | preselected, selected)
     return selected
-
-
-def _certify_cover(workload, targets, covering, selected) -> None:
-    """First-principles re-check of an MC3 cover (no tracker, no solver code)."""
-    import math
-
-    from repro.core.errors import CostCertificateError, CoverageCertificateError
-
-    for classifier in selected:
-        if math.isinf(workload.cost(classifier)):
-            raise CostCertificateError(
-                f"MC3 selected the infinite-cost classifier "
-                f"{sorted(map(str, classifier))}"
-            )
-    for query in targets:
-        union = set()
-        for classifier in covering:
-            if classifier <= query:
-                union |= classifier
-        if union != set(query):
-            raise CoverageCertificateError(
-                f"MC3 cover leaves query {sorted(map(str, query))} uncovered"
-            )
 
 
 def full_cover_cost(workload: ClassifierWorkload) -> float:

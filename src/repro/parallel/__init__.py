@@ -1,7 +1,7 @@
 """Parallel experiment execution with deterministic result caching.
 
 The evaluation section of the paper is embarrassingly parallel — budget
-points, randomized trials and portfolio arms are independent solves.
+points, randomized trials and solver arms are independent solves.
 This package turns each into a :class:`~repro.parallel.pool.SolveTask`
 and executes batches through a process pool (``--jobs``/``REPRO_JOBS``,
 serial fallback at ``jobs=1``) with three guarantees:
@@ -36,7 +36,6 @@ from repro.parallel.pool import (
     SolveTask,
     TaskBatch,
     TaskResult,
-    pmap,
     resolve_jobs,
     run_tasks,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "SolveTask",
     "TaskBatch",
     "TaskResult",
-    "pmap",
     "resolve_jobs",
     "run_tasks",
     "get_solver",

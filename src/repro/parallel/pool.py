@@ -15,7 +15,10 @@ regardless of completion order.  Determinism contract:
 With a :class:`~repro.parallel.cache.ResultCache` attached, each task's
 fingerprint (instance ⊕ solver ⊕ seed) is consulted first and only the
 misses are executed; stored entries include the original wall seconds, so
-warm sweeps reproduce cold rows exactly.
+warm sweeps reproduce cold rows exactly.  A stored entry is not trusted:
+every hit is re-verified against its task's instance, and one that fails
+is solved cold and overwritten.  Results carry no certificate; a caller
+that reads one attaches it (:func:`repro.verify.certificate.attach_certificate`).
 
 All timing goes through the config's :class:`~repro.parallel.clock.Clock`
 (default: the system clock).  A :class:`~repro.parallel.clock.VirtualClock`
@@ -29,19 +32,15 @@ boundary, and never needs to: virtual implies serial).
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, TypeVar
+from typing import List, Optional, Sequence, Tuple
 
 from repro.core.model import ClassifierWorkload
 from repro.core.solution import Solution
 from repro.parallel.cache import ResultCache
 from repro.parallel.clock import SYSTEM_CLOCK, Clock
 from repro.parallel.fingerprint import task_fingerprint
-
-T = TypeVar("T")
-R = TypeVar("R")
 
 #: Hard ceiling on worker processes (a runaway guard, not a tuning knob).
 MAX_JOBS = 64
@@ -66,23 +65,6 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return max(1, min(jobs, MAX_JOBS))
 
 
-def pmap(fn: Callable[[T], R], items: Sequence[T], jobs: Optional[int] = None) -> List[R]:
-    """``[fn(x) for x in items]`` with optional process-pool fan-out.
-
-    ``fn`` and every item must be picklable when ``jobs > 1``.  Output
-    order always matches input order; ``jobs=1`` runs inline with no pool
-    machinery at all.
-    """
-    items = list(items)
-    jobs = resolve_jobs(jobs)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    workers = min(jobs, len(items))
-    chunksize = max(1, len(items) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as executor:
-        return list(executor.map(fn, items, chunksize=chunksize))
-
-
 @dataclass(frozen=True)
 class SolveTask:
     """One solver applied to one instance (the parallel unit of work).
@@ -92,7 +74,6 @@ class SolveTask:
         solver: registry name (see :mod:`repro.parallel.registry`).
         instance: the workload to solve (picklable by construction).
         seed: derived seed for randomized solvers; None for deterministic.
-        certify: verify the result and attach its witness certificate.
         timeout_s: advisory per-task deadline in seconds.  CPython cannot
             safely preempt a running solve, so the task is never killed;
             an overrun is *recorded* on the result (``timed_out=True``)
@@ -103,7 +84,6 @@ class SolveTask:
     solver: str
     instance: ClassifierWorkload
     seed: Optional[int] = None
-    certify: bool = False
     timeout_s: Optional[float] = None
 
 
@@ -131,63 +111,54 @@ class ParallelConfig:
     """Execution policy for a batch: worker count and cache handle.
 
     ``jobs=None`` defers to ``REPRO_JOBS`` (default 1); ``cache=None``
-    disables caching; ``certify=True`` forces certification onto every
-    task in the batch; ``clock=None`` times tasks on the system clock.
+    disables caching; ``clock=None`` times tasks on the system clock.
     A virtual clock forces the batch serial (simulated time has no
     out-of-order completion), whatever ``jobs`` says.
     """
 
     jobs: Optional[int] = None
     cache: Optional[ResultCache] = None
-    certify: bool = False
     clock: Optional[Clock] = None
 
 
-#: The do-nothing default: serial, uncached, uncertified.
+#: The do-nothing default: serial and uncached.
 SERIAL = ParallelConfig(jobs=1)
 
 
-def _execute_task(task: SolveTask) -> Tuple[Solution, float]:
-    """Worker entry: solve one task and time it (runs in the pool).
+def _execute_task(task: SolveTask, clock: Clock = SYSTEM_CLOCK) -> Tuple[Solution, float]:
+    """Solve one task, timed on ``clock``.
 
-    Workers always measure on the system clock — this entry only runs on
-    the fanned-out path, which a virtual clock never takes.
+    Pool workers take the default: the fanned-out path, which a virtual
+    clock never takes, always measures on the system clock.
     """
     from repro.parallel.registry import get_solver
 
     solver = get_solver(task.solver)
-    start = time.perf_counter()
-    solution = solver(task.instance, task.seed, task.certify)
-    return solution, time.perf_counter() - start
-
-
-def _execute_task_clocked(task: SolveTask, clock: Clock) -> Tuple[Solution, float]:
-    """Serial-path execution: timing delegated to the injected clock."""
-    from repro.parallel.registry import get_solver
-
-    solver = get_solver(task.solver)
-    return clock.run_task(
-        task, lambda: solver(task.instance, task.seed, task.certify)
-    )
+    return clock.run_task(task, lambda: solver(task.instance, task.seed))
 
 
 def _is_timed_out(task: SolveTask, seconds: float) -> bool:
     return task.timeout_s is not None and seconds > task.timeout_s
 
 
-def _recertify(task: SolveTask, solution: Solution) -> Solution:
-    """Re-attach a certificate to a cache-served solution.
+def _certifies(task: SolveTask, solution: Solution) -> bool:
+    """Whether a cache-served solution re-certifies against its task.
 
-    Cached payloads never store certificates (they would be trusted
-    blindly); certification is deterministic, so re-deriving it from the
-    instance keeps hits equivalent to misses.
+    Coverage, cost and utility are re-derived from the instance, with
+    the budget of a :class:`~repro.core.model.BCCInstance` and the target
+    of a :class:`~repro.core.model.GMC3Instance`; a corrupt entry fails.
     """
+    from repro.core.errors import CertificateError
     from repro.core.model import BCCInstance, GMC3Instance
-    from repro.verify.certificate import attach_certificate
+    from repro.verify.certificate import verify_solution
 
     budget = task.instance.budget if isinstance(task.instance, BCCInstance) else None
     target = task.instance.target if isinstance(task.instance, GMC3Instance) else None
-    return attach_certificate(task.instance, solution, budget=budget, target=target)
+    try:
+        verify_solution(task.instance, solution, budget=budget, target=target)
+    except CertificateError:
+        return False
+    return True
 
 
 def run_tasks(
@@ -195,9 +166,10 @@ def run_tasks(
 ) -> List[TaskResult]:
     """Execute a batch and return results aligned with ``tasks``.
 
-    Cache hits are served without touching the pool; only misses execute,
-    and their results are stored back.  The returned list order — and
-    every float in it — is independent of ``jobs``.
+    Cache hits that re-certify are served without touching the pool;
+    only misses (and rejected hits) execute, and their results are stored
+    back.  The returned list order — and every float in it — is
+    independent of ``jobs``.
     """
     config = parallel or SERIAL
     clock = config.clock or SYSTEM_CLOCK
@@ -207,43 +179,34 @@ def run_tasks(
         if task.key in seen:
             raise ValueError(f"duplicate task key {task.key!r} in batch")
         seen.add(task.key)
-    if config.certify:
-        tasks = [
-            task if task.certify
-            else SolveTask(
-                task.key, task.solver, task.instance, task.seed, True, task.timeout_s
-            )
-            for task in tasks
-        ]
 
     results: List[Optional[TaskResult]] = [None] * len(tasks)
     misses: List[int] = []
     fingerprints: List[Optional[str]] = [None] * len(tasks)
     for index, task in enumerate(tasks):
-        if config.cache is None:
-            misses.append(index)
-            continue
-        fingerprint = task_fingerprint(task.instance, task.solver, task.seed)
-        fingerprints[index] = fingerprint
-        hit = config.cache.get(fingerprint)
-        if hit is None:
-            misses.append(index)
-            continue
-        solution, seconds = hit
-        if task.certify:
-            solution = _recertify(task, solution)
-        results[index] = TaskResult(
-            task.key, solution, seconds, cached=True,
-            timed_out=_is_timed_out(task, seconds),
-        )
+        if config.cache is not None:
+            fingerprint = task_fingerprint(task.instance, task.solver, task.seed)
+            fingerprints[index] = fingerprint
+            hit = config.cache.get(fingerprint)
+            if hit is not None and _certifies(task, hit[0]):
+                solution, seconds = hit
+                results[index] = TaskResult(
+                    task.key, solution, seconds, cached=True,
+                    timed_out=_is_timed_out(task, seconds),
+                )
+                continue
+        misses.append(index)
 
     miss_tasks = [tasks[i] for i in misses]
-    if clock.virtual or resolve_jobs(config.jobs) <= 1:
+    workers = min(resolve_jobs(config.jobs), len(miss_tasks))
+    if clock.virtual or workers <= 1:
         # Serial path: timing goes through the injected clock (a virtual
         # clock charges simulated durations and must never fan out).
-        executed = [_execute_task_clocked(task, clock) for task in miss_tasks]
+        executed = [_execute_task(task, clock) for task in miss_tasks]
     else:
-        executed = pmap(_execute_task, miss_tasks, jobs=config.jobs)
+        chunksize = max(1, len(miss_tasks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as executor:
+            executed = list(executor.map(_execute_task, miss_tasks, chunksize=chunksize))
     for index, (solution, seconds) in zip(misses, executed):
         task = tasks[index]
         results[index] = TaskResult(

@@ -19,7 +19,8 @@ typed error, routed through the machinery the previous PRs built:
   back to a cold solve;
 - **warm re-plans** — ``replan`` requests mutate the tenant's workload
   through its own :class:`~repro.incremental.engine.IncrementalSolver`,
-  reusing every untouched shard profile;
+  reusing every untouched shard profile, and the façade certifies the
+  answer as it does a cache hit;
 - **deadline-policy cold solves** — cache misses go through the PR-8
   :class:`~repro.slo.meta.AnytimeMetaSolver`, which admits arms through
   the PR-3 task pool under the request's latency SLO and always returns
@@ -205,10 +206,7 @@ class ServingFacade:
         solver = IncrementalSolver(
             instance.clone(),
             config=IncrementalConfig(
-                jobs=self.config.jobs,
-                cache=self.cache,
-                certify=True,
-                clock=self.clock,
+                jobs=self.config.jobs, cache=self.cache, clock=self.clock
             ),
         )
         self._tenants[name] = _TenantState(name, solver)
@@ -510,6 +508,9 @@ class ServingFacade:
                     f"replan expected {request.expected_version}"
                 )
             solution = state.solver.resolve_delta(request.delta)
+            solution = attach_certificate(
+                state.instance, solution, budget=state.instance.budget
+            )
         except ReproError as exc:
             return self._error_response(pending, exc, tick)
         self.counters.replans += 1

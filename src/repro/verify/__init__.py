@@ -7,10 +7,15 @@ coverage engine) surfaces as a typed
 :class:`~repro.core.errors.CertificateError` instead of a silently wrong
 number.
 
+Solvers only answer: certification is a separate call made where a
+certificate is read.
+
 Entry points:
 
 - :func:`verify_solution` / :func:`build_certificate` — certify one
-  solution against one instance;
+  solution against one instance, and :func:`attach_certificate` to
+  record the certificate in the solution's meta;
+- :func:`verify_cover` — check an MC3 full cover;
 - :func:`run_differential` — sweep every registered solver arm over the
   seeded corpus and cross-check invariants (oracle dominance, the
   Knapsack/DkS reduction oracles, GMC3/ECC consistency with BCC at the
@@ -25,6 +30,7 @@ from repro.verify.certificate import (
     SolutionCertificate,
     attach_certificate,
     build_certificate,
+    verify_cover,
     verify_solution,
 )
 from repro.verify.corpus import CorpusCase, corpus, corpus_cases
@@ -52,6 +58,7 @@ __all__ = [
     "SolutionCertificate",
     "build_certificate",
     "verify_solution",
+    "verify_cover",
     "attach_certificate",
     "CorpusCase",
     "corpus",

@@ -20,6 +20,8 @@ re-tested against the selection and its query on its own.
 
 Certificates serialize to JSON (:meth:`SolutionCertificate.to_json`) so
 sweeps can archive them next to results and re-check them offline.
+:func:`verify_cover` checks an MC3 full cover from the same first
+principles.
 """
 
 from __future__ import annotations
@@ -368,6 +370,35 @@ def _verify_certificate(
         raise UtilityCertificateError(
             "certificate total_utility != sum of witnessed utilities"
         )
+
+
+def verify_cover(
+    workload: ClassifierWorkload, selected: Collection[Classifier]
+) -> None:
+    """Check that ``selected`` is a finite-cost cover of every query.
+
+    The MC3 condition from first principles: each query is the union of
+    the selected classifiers it contains, and no selected classifier has
+    infinite cost.
+
+    Raises:
+        CostCertificateError: an infinite-cost classifier was selected.
+        CoverageCertificateError: some query is left uncovered.
+    """
+    for classifier in selected:
+        if math.isinf(workload.cost(classifier)):
+            raise CostCertificateError(
+                f"the cover selects the infinite-cost classifier {_canon(classifier)}"
+            )
+    for query in workload.queries:
+        union = set()
+        for classifier in selected:
+            if classifier <= query:
+                union |= classifier
+        if union != query:
+            raise CoverageCertificateError(
+                f"the cover leaves query {_sorted_props(query)} uncovered"
+            )
 
 
 def attach_certificate(

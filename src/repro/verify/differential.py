@@ -32,7 +32,7 @@ from repro.analysis.bounds import bcc_l2_ratio
 from repro.core.errors import CertificateError, DifferentialError
 from repro.core.model import BCCInstance, ECCInstance, GMC3Instance
 from repro.core.solution import Solution, evaluate
-from repro.verify.certificate import verify_solution
+from repro.verify.certificate import verify_cover, verify_solution
 from repro.verify.corpus import CorpusCase, corpus
 
 _TOL = 1e-9
@@ -140,7 +140,7 @@ def _abcc_sharded(instance: BCCInstance) -> Solution:
     inside a pool worker)."""
     from repro.incremental import IncrementalConfig, solve_bcc_sharded
 
-    return solve_bcc_sharded(instance, IncrementalConfig(jobs=1, certify=False))
+    return solve_bcc_sharded(instance, IncrementalConfig(jobs=1))
 
 
 def default_arms() -> List[SolverArm]:
@@ -341,9 +341,11 @@ class _CaseRunner:
         from repro.mc3 import InfeasibleCoverError, solve_mc3
 
         try:
-            cover = solve_mc3(instance, certify=True)
+            cover = solve_mc3(instance)
         except InfeasibleCoverError:
             return
+        try:
+            verify_cover(instance, cover)
         except CertificateError as exc:
             self.fail("MC3", "certificate", str(exc))
             return

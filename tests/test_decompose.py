@@ -32,15 +32,15 @@ from repro.decompose.allocator import _pareto_allocate
 from repro.incremental import IncrementalConfig, solve_bcc_sharded
 from repro.parallel import registry
 from repro.parallel.cache import ResultCache
-from repro.verify.certificate import verify_solution
+from repro.verify.certificate import attach_certificate, verify_solution
 from repro.verify.corpus import corpus
 
 from .strategies import bcc_instances, solvable_instances
 
 _TOL = 1e-9
 
-#: Serial and uncertified unless a test asks otherwise.
-_SERIAL = IncrementalConfig(jobs=1, certify=False)
+#: Serial unless a test asks otherwise.
+_SERIAL = IncrementalConfig(jobs=1)
 
 
 def _saturation_budget(instance: BCCInstance) -> float:
@@ -238,10 +238,9 @@ def test_allocate_falls_back_to_pareto_merge_on_float_costs():
 @settings(max_examples=25, deadline=None)
 @given(instance=solvable_instances())
 def test_sharded_solution_is_feasible_and_certified(instance):
-    solution = solve_bcc_sharded(
-        instance, IncrementalConfig(jobs=1, certify=True), seed=11
-    )
+    solution = solve_bcc_sharded(instance, _SERIAL, seed=11)
     assert solution.cost <= instance.budget + _TOL
+    attach_certificate(instance, solution, budget=instance.budget)
     certificate = solution.meta["certificate"]
     verify_solution(instance, solution, certificate=certificate, budget=instance.budget)
 
@@ -294,9 +293,9 @@ def test_single_shard_runs_the_inner_solver_once_on_the_whole_instance(
     inner = registry.get_solver("abcc")
     calls = []
 
-    def spy(instance, seed=None, certify=False):
+    def spy(instance, seed=None):
         calls.append(instance)
-        return inner(instance, seed, certify)
+        return inner(instance, seed)
 
     monkeypatch.setitem(registry._SOLVERS, "abcc", spy)
     solution = solve_bcc_sharded(fig1_b4, _SERIAL, seed=3)
@@ -309,7 +308,7 @@ def test_single_shard_runs_the_inner_solver_once_on_the_whole_instance(
 def test_same_budget_resolve_serves_every_shard_task_from_the_cache(tmp_path):
     instance = _fragmented_6x30()
     cache = ResultCache(directory=tmp_path)
-    config = IncrementalConfig(jobs=1, cache=cache, certify=False)
+    config = IncrementalConfig(jobs=1, cache=cache)
     first = solve_bcc_sharded(instance, config, seed=3)
     tasks = first.meta["incremental"]["solved_tasks"]
     assert tasks == first.meta["incremental"]["shards"] == 27
@@ -342,9 +341,8 @@ def test_sharded_certificates_verify_under_both_engines():
     instance = BCCInstance(queries, utilities, costs, budget=10.0)
     for engine in ("sets", "bits"):
         with use_engine(engine):
-            solution = solve_bcc_sharded(
-                instance, IncrementalConfig(jobs=1, certify=True)
-            )
+            solution = solve_bcc_sharded(instance, _SERIAL)
+            attach_certificate(instance, solution, budget=instance.budget)
             verify_solution(
                 instance,
                 solution,

@@ -26,9 +26,7 @@ _TOL = 1e-9
 
 
 def _sharded(instance):
-    return solve_bcc_sharded(
-        instance, IncrementalConfig(jobs=1, certify=False), seed=0
-    )
+    return solve_bcc_sharded(instance, IncrementalConfig(jobs=1), seed=0)
 
 
 BCC_SOLVERS = [

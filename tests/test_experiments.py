@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.experiments.runner import FigureResult, budget_sweep, timed
+from repro.experiments.runner import FigureResult, budget_sweep
 from repro.experiments.report import render_table, render_timings
 from repro.experiments.scales import PAPER, SCALES, SMALL, TINY
 
@@ -38,11 +38,6 @@ class TestFigureResult:
 
 
 class TestHelpers:
-    def test_timed(self):
-        value, seconds = timed(lambda: 42)
-        assert value == 42
-        assert seconds >= 0.0
-
     def test_budget_sweep(self):
         assert budget_sweep(100.0, (0.1, 0.5)) == [10.0, 50.0]
 

@@ -100,7 +100,7 @@ class TestPinnedAnswers:
         ],
     )
     def test_registry_bcc_arm(self, arm, workload, expected):
-        solution = get_solver(arm)(_pinned_instance(workload), 0, False)
+        solution = get_solver(arm)(_pinned_instance(workload), 0)
         assert _selection_digest(solution) == expected
 
     def test_registry_gmc3_arm(self):
@@ -111,7 +111,7 @@ class TestPinnedAnswers:
             {c: instance.cost(c) for c in instance.relevant_classifiers()},
             target=round(0.5 * instance.total_utility(), 6),
         )
-        assert _selection_digest(get_solver("agmc3")(view, 0, False)) == "ff3b9db87090ad5d"
+        assert _selection_digest(get_solver("agmc3")(view, 0)) == "ff3b9db87090ad5d"
 
     @pytest.mark.parametrize(
         "seed, budget, heuristic, taylor",

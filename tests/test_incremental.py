@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import random
@@ -19,6 +20,7 @@ from repro.core.errors import (
     StaleWorkloadError,
 )
 from repro.datasets.fragmented import generate_fragmented
+from repro.decompose.partition import partition_workload
 from repro.incremental import engine as engine_module
 from repro.incremental import (
     IncrementalConfig,
@@ -28,8 +30,14 @@ from repro.incremental import (
     solve_bcc_sharded,
 )
 from repro.incremental.engine import TINY_SHARD_QUERIES, effective_jobs
-from repro.parallel.fingerprint import instance_fingerprint, workload_fingerprint
+from repro.parallel.cache import ResultCache
+from repro.parallel.fingerprint import (
+    instance_fingerprint,
+    shard_fingerprints,
+    workload_fingerprint,
+)
 from repro.parallel.pool import SolveTask
+from repro.verify.certificate import verify_solution
 from repro.verify.incremental import check_delta_stream, random_delta_stream
 from tests.strategies import bcc_instances, solvable_instances
 
@@ -255,12 +263,12 @@ class TestEffectiveJobs:
             return run_tasks(tasks, config)
 
         monkeypatch.setattr(engine_module, "run_tasks", spy)
-        solve_bcc_sharded(instance, IncrementalConfig(jobs=8, certify=False))
+        solve_bcc_sharded(instance, IncrementalConfig(jobs=8))
         assert jobs == [1]  # tiny shards → serial
 
 
 class TestIncrementalEngine:
-    CFG = IncrementalConfig(certify=True)
+    CFG = IncrementalConfig()
 
     def _assert_equals_cold(self, solver, warm):
         cold = IncrementalSolver(solver.instance.clone(), self.CFG).solve()
@@ -284,7 +292,7 @@ class TestIncrementalEngine:
                 assert warm.utility == cold.utility
                 assert warm.cost == cold.cost
                 assert warm.meta["incremental"]["path"] == "non-binding"
-                assert "certificate" in warm.meta
+                verify_solution(solver.instance, warm, budget=solver.instance.budget)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_warm_equals_cold_binding(self, engine):
@@ -333,6 +341,54 @@ class TestIncrementalEngine:
         assert info["solved_tasks"] == 0
         self._assert_equals_cold(solver, warm)
 
+    def test_binding_delta_counts_every_shard_a_task_ran_for(self, monkeypatch):
+        # A re-plan under a non-binding budget stores one point per shard.
+        # A delta that makes the budget binding needs every shard's grid,
+        # so tasks run even for shards whose fingerprint hit the store:
+        # those shards are dirty, and none is reused.
+        solver = IncrementalSolver(tiny_instance(budget=100.0), self.CFG)
+        solver.solve()
+        run_tasks = engine_module.run_tasks
+        ran = []
+
+        def spy(tasks, config):
+            ran.extend(tasks)
+            return run_tasks(tasks, config)
+
+        monkeypatch.setattr(engine_module, "run_tasks", spy)
+        warm = solver.resolve_delta(
+            WorkloadDelta.of(add={fs("hi"): 1.0}, costs={fs("h"): 200.0})
+        )
+        info = warm.meta["incremental"]
+        assert info["path"] != "non-binding"
+        shards = partition_workload(solver.instance).shards
+        fingerprints = shard_fingerprints(solver.instance, shards)
+        assert {task.key.split("/")[0] for task in ran} == {fp[:16] for fp in fingerprints}
+        assert info["shards"] == 4
+        assert (info["dirty_shards"], info["reused_profiles"]) == (4, 0)
+        assert info["solved_tasks"] == len(ran)
+        self._assert_equals_cold(solver, warm)
+
+    def test_corrupt_shard_cache_entry_is_solved_cold(self, tmp_path):
+        # A shard row of a shared result cache is re-verified on every hit:
+        # a tampered one is solved cold and overwritten, so it never lands
+        # in the profile store.
+        instance = generate_fragmented(
+            n_components=3, queries_per_component=6, budget=1e6, seed=4
+        )
+        config = IncrementalConfig(jobs=1, cache=ResultCache(directory=tmp_path))
+        cold = IncrementalSolver(instance.clone(), config).solve()
+        entry = sorted(tmp_path.glob("*.json"))[0]
+        honest = entry.read_text()
+        payload = json.loads(honest)
+        payload["solution"]["utility"] += 5.0
+        entry.write_text(json.dumps(payload))
+        warm = IncrementalSolver(instance.clone(), config).solve()
+        assert warm.classifiers == cold.classifiers
+        assert (warm.utility, warm.cost) == (cold.utility, cold.cost)
+        rewritten = json.loads(entry.read_text())["solution"]
+        assert rewritten["utility"] == json.loads(honest)["solution"]["utility"]
+
     def test_cost_reprice_merges_and_splits(self):
         queries = [fs("ab"), fs("bc")]
         costs = {fs("a"): 1.0, fs("b"): math.inf, fs("c"): 1.0,
@@ -367,7 +423,7 @@ class TestIncrementalEngine:
         )
         answers = {}
         for workers in (1, 2):
-            config = IncrementalConfig(jobs=workers, certify=False)
+            config = IncrementalConfig(jobs=workers)
             solver = IncrementalSolver(instance.clone(), config)
             solver.solve()
             rng = random.Random(2)

@@ -2,16 +2,18 @@
 
 The layer's contract has three legs, and each gets its own section here:
 
-1. **Bit-identical results** — every figure helper and the HkS portfolio
+1. **Bit-identical results** — every figure helper and the corpus batch
    produce the same answers at ``jobs=1`` and ``jobs=4`` (same utilities,
-   costs, classifier sets and certificates), because tasks are pure
-   functions of their derived seeds and results reduce in task order.
+   costs, classifier sets, and certificates attached after the batch),
+   because tasks are pure functions of their derived seeds and results
+   reduce in task order.
 2. **Stable fingerprints** — the cache key is invariant under query
    order, dict insertion order and float formatting, and distinct
    instances never collide on the seeded corpus.
 3. **Deterministic caching** — a warm run replays the cold run byte for
-   byte (stored wall seconds included), hits re-certify, eviction is LRU,
-   and ``REPRO_CACHE=0`` switches the whole thing off.
+   byte (stored wall seconds included), every hit is re-verified and a
+   corrupt one is solved cold, eviction is LRU, and ``REPRO_CACHE=0``
+   switches the whole thing off.
 
 The heavyweight figure sweeps and the 3× stress run are marked ``slow``
 and excluded from the default pytest invocation; the CI ``slow`` leg
@@ -30,12 +32,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import BCCInstance, ECCInstance, GMC3Instance
-from repro.dks import HksPortfolio
+from repro.core import BCCInstance, ECCInstance, GMC3Instance, evaluate
 from repro.experiments.figures import ALL_FIGURES
-from repro.experiments.runner import FigureResult, averaged_random
+from repro.experiments.runner import FigureResult
 from repro.experiments.scales import MICRO
-from repro.graphs import IndexedGraph, WeightedGraph
 from repro.incremental.delta import random_delta
 from repro.parallel import (
     ParallelConfig,
@@ -47,7 +47,6 @@ from repro.parallel import (
     default_cache,
     derive_rng,
     instance_fingerprint,
-    pmap,
     resolve_jobs,
     run_tasks,
     seed_for,
@@ -56,8 +55,7 @@ from repro.parallel import (
 )
 from repro.parallel.cache import CACHE_VERSION
 from repro.parallel.fingerprint import workload_fingerprint, workload_tokens
-from repro.qk import QKConfig, solve_qk, solve_qk_taylor
-from repro.verify.certificate import verify_solution
+from repro.verify.certificate import attach_certificate, verify_solution
 from tests.strategies import bcc_instances, reencoded_bcc_pairs
 
 JOBS = 4
@@ -311,23 +309,59 @@ class TestResultCache:
         cold = run_tasks([task], ParallelConfig(jobs=1, cache=cache))[0]
         assert not cold.cached and cache.stats.misses == 1
 
-        warm = run_tasks([task], ParallelConfig(jobs=1, cache=cache, certify=True))[0]
+        warm = run_tasks([task], ParallelConfig(jobs=1, cache=cache))[0]
         assert warm.cached
         assert warm.seconds == cold.seconds  # stored wall seconds replay
         assert warm.solution.utility == cold.solution.utility
         assert warm.solution.cost == cold.solution.cost
         assert warm.solution.classifiers == cold.solution.classifiers
-        # The hit re-derives its certificate from scratch and it validates.
-        certificate = warm.solution.meta["certificate"]
-        reference = verify_solution(
-            instance, warm.solution, certificate=certificate, budget=instance.budget
+        assert "certificate" not in warm.solution.meta  # checked, not attached
+
+        # Every hit is re-verified against its task: a corrupt entry is a
+        # miss, solved cold and overwritten.
+        [entry] = tmp_path.glob("*.json")
+        payload = json.loads(entry.read_text())
+        payload["solution"]["utility"] += 5.0
+        entry.write_text(json.dumps(payload))
+        mended = run_tasks([task], ParallelConfig(jobs=1, cache=cache))[0]
+        assert not mended.cached
+        assert mended.solution.utility == cold.solution.utility
+        again = run_tasks([task], ParallelConfig(jobs=1, cache=cache))[0]
+        assert again.cached and again.solution.utility == cold.solution.utility
+
+    def test_hits_checked_against_budget_and_target(self, tmp_path):
+        # Entries that re-score consistently but answer another question:
+        # over the task's budget, or short of its target.
+        cache = ResultCache(directory=tmp_path)
+        instance = _tiny_instance()
+        over = evaluate(instance, [frozenset("ab"), frozenset("b"), frozenset("c")])
+        assert over.cost > instance.budget
+        goal = GMC3Instance(
+            instance.queries,
+            {q: instance.utility(q) for q in instance.queries},
+            {c: instance.cost(c) for c in (frozenset("b"), frozenset("ab"))},
+            target=8.0,
         )
-        assert certificate.to_json() == reference.to_json()
+        tasks = [
+            SolveTask(key="bcc", solver="ig1-bcc", instance=instance),
+            SolveTask(key="gmc3", solver="ig1-gmc3", instance=goal),
+        ]
+        cache.put(task_fingerprint(instance, "ig1-bcc", None), over, 0.1)
+        cache.put(task_fingerprint(goal, "ig1-gmc3", None), evaluate(goal, []), 0.1)
+        results = run_tasks(tasks, ParallelConfig(jobs=1, cache=cache))
+        assert [result.cached for result in results] == [False, False]
+        assert results[0].solution.cost <= instance.budget
+        assert results[1].solution.utility >= goal.target
+        warm = run_tasks(tasks, ParallelConfig(jobs=1, cache=cache))
+        assert [result.cached for result in warm] == [True, True]
 
     def test_certificates_never_stored(self, tmp_path):
         cache = ResultCache(directory=tmp_path)
-        task = SolveTask(key="t", solver="abcc", instance=_tiny_instance(), certify=True)
-        run_tasks([task], ParallelConfig(jobs=1, cache=cache))
+        instance = _tiny_instance()
+        solution = run_tasks([SolveTask("t", "abcc", instance)], None)[0].solution
+        attach_certificate(instance, solution, budget=instance.budget)
+        assert "certificate" in solution.meta
+        cache.put("f" * 8, solution, 0.1)
         [entry] = tmp_path.glob("*.json")
         assert "certificate" not in json.loads(entry.read_text())["solution"]["meta"]
 
@@ -413,10 +447,6 @@ class TestResultCache:
 # ---------------------------------------------------------------------------
 
 
-def _square(x: int) -> int:
-    return x * x
-
-
 class TestPool:
     def test_resolve_jobs(self, monkeypatch):
         import os
@@ -433,12 +463,6 @@ class TestPool:
             resolve_jobs(None)
         with pytest.raises(ValueError):
             resolve_jobs(-1)
-
-    def test_pmap_preserves_order(self):
-        items = list(range(20))
-        expected = [_square(x) for x in items]
-        assert pmap(_square, items, jobs=1) == expected
-        assert pmap(_square, items, jobs=2) == expected
 
     def test_duplicate_task_keys_rejected(self):
         task = SolveTask(key="same", solver="abcc", instance=_tiny_instance())
@@ -503,8 +527,8 @@ class TestSerialParallelEquality:
 
     def test_corpus_tasks_identical_with_certificates(self):
         tasks = corpus_tasks(seeds=range(1))
-        serial = run_tasks(tasks, ParallelConfig(jobs=1, certify=True))
-        fanned = run_tasks(tasks, ParallelConfig(jobs=JOBS, certify=True))
+        serial = run_tasks(tasks, ParallelConfig(jobs=1))
+        fanned = run_tasks(tasks, ParallelConfig(jobs=JOBS))
         assert len(serial) == len(fanned) == len(tasks)
         for task, left, right in zip(tasks, serial, fanned):
             assert left.key == right.key == task.key
@@ -512,79 +536,15 @@ class TestSerialParallelEquality:
             assert left.solution.cost == right.solution.cost
             assert left.solution.classifiers == right.solution.classifiers
             assert left.solution.covered == right.solution.covered
+            # Both certify from first principles against the instance.
+            for result in (left, right):
+                attach_certificate(
+                    task.instance, result.solution, budget=task.instance.budget
+                )
             lcert = left.solution.meta["certificate"]
             rcert = right.solution.meta["certificate"]
             assert lcert.to_json() == rcert.to_json()
-            # Both certify from first principles against the instance.
             verify_solution(task.instance, left.solution, certificate=lcert)
-
-    def test_portfolio_identical_across_jobs(self):
-        for seed in range(4):
-            graph = IndexedGraph.from_graph(_random_graph(seed))
-            serial = HksPortfolio(seed=seed, jobs=1).solve(graph, 4)
-            fanned = HksPortfolio(seed=seed, jobs=JOBS).solve(graph, 4)
-            assert serial == fanned
-
-    def test_portfolio_identical_through_qk_paths(self):
-        graph = _random_graph(7, n=12)
-        heuristic_serial = solve_qk(graph, 6.0, QKConfig(hks=HksPortfolio(jobs=1)))
-        heuristic_fanned = solve_qk(graph, 6.0, QKConfig(hks=HksPortfolio(jobs=JOBS)))
-        assert heuristic_serial == heuristic_fanned
-        taylor_serial = solve_qk_taylor(graph, 6.0, dks=HksPortfolio(jobs=1))
-        taylor_fanned = solve_qk_taylor(graph, 6.0, dks=HksPortfolio(jobs=JOBS))
-        assert taylor_serial == taylor_fanned
-
-
-def _random_graph(seed: int, n: int = 10, p: float = 0.4) -> WeightedGraph:
-    rng = random.Random(seed)
-    graph = WeightedGraph()
-    for i in range(n):
-        graph.add_node(i, cost=1.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rng.random() < p:
-                graph.add_edge(i, j, float(rng.randint(1, 9)))
-    return graph
-
-
-# ---------------------------------------------------------------------------
-# averaged_random seeding
-# ---------------------------------------------------------------------------
-
-
-class _SeededValue:
-    """Picklable stand-in for a randomized baseline: pure function of seed."""
-
-    def __call__(self, seed: int):
-        from repro.core.solution import Solution
-
-        value = random.Random(seed).uniform(0.0, 100.0)
-        return Solution(
-            classifiers=frozenset(), covered=frozenset(), cost=0.0, utility=value
-        )
-
-
-class TestAveragedRandom:
-    def test_pins_historical_serial_mean(self):
-        # The historical behavior: trial i runs with seed i, mean in
-        # trial order.  The parallel rewrite must not move this number.
-        run = _SeededValue()
-        expected = sum(run(s).utility for s in range(5)) / 5
-        mean, seconds, last = averaged_random(run, repeats=5)
-        assert mean == expected
-        assert seconds >= 0.0
-        assert last.utility == run(4).utility
-
-    def test_parallel_matches_serial(self):
-        run = _SeededValue()
-        serial_mean, _, serial_last = averaged_random(run, repeats=6, jobs=1)
-        fanned_mean, _, fanned_last = averaged_random(run, repeats=6, jobs=2)
-        assert serial_mean == fanned_mean
-        assert serial_last.utility == fanned_last.utility
-
-    def test_rejects_bad_repeats(self):
-        with pytest.raises(ValueError):
-            averaged_random(_SeededValue(), repeats=0)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import random
 import types
 
 import pytest
@@ -33,6 +34,7 @@ from hypothesis import given, settings
 from repro.core import BCCInstance, from_letters as fs
 from repro.core.bitset import ENGINES, use_engine
 from repro.core.errors import InvalidInstanceError, UnknownTenantError
+from repro.datasets.fragmented import generate_fragmented
 from repro.datasets.zipf import zipf_rank
 from repro.incremental.delta import WorkloadDelta
 from repro.incremental.engine import IncrementalConfig, IncrementalSolver
@@ -57,6 +59,7 @@ from repro.serving import facade as facade_module
 from repro.serving.cli import main as serving_main
 from repro.serving.traffic import TraceItem
 from repro.verify.certificate import verify_solution
+from repro.verify.incremental import random_delta_stream
 from tests.conftest import figure1_instance, random_instance
 from tests.strategies import request_streams
 
@@ -549,13 +552,41 @@ class TestReplan:
 
         mutated = instance.clone()
         mutated.apply_delta(delta)
-        cold = IncrementalSolver(
-            mutated.clone(), config=IncrementalConfig(jobs=1, certify=True)
-        ).solve()
+        cold = IncrementalSolver(mutated.clone(), config=IncrementalConfig(jobs=1)).solve()
         assert warm.solution.classifiers == cold.classifiers
         assert repr(warm.solution.cost) == repr(cold.cost)
         assert repr(warm.solution.utility) == repr(cold.utility)
         verify_solution(mutated, warm.solution, warm.solution.meta["certificate"])
+
+    def test_corrupt_shard_cache_entry_never_reaches_a_tenant(self, tmp_path):
+        # Re-plans share the façade's result cache with the shard solver.
+        # One tampered shard row must not fail this or any later re-plan:
+        # the hit is re-verified, solved cold and overwritten.
+        instance = generate_fragmented(3, 6, budget=1e6, seed=4)
+        deltas = random_delta_stream(instance, steps=4, rng=random.Random(3), fraction=0.1)
+        earlier = make_facade(tmp_path)
+        earlier.register_tenant("acme", instance)
+        (first,) = serve(earlier, [ReplanRequest("acme", deltas[0])])
+        assert first.ok
+        entry = sorted((tmp_path / "serving-cache").glob("*.json"))[0]
+        payload = json.loads(entry.read_text())
+        payload["solution"]["utility"] += 5.0
+        entry.write_text(json.dumps(payload))
+
+        facade = make_facade(tmp_path)
+        facade.register_tenant("acme", instance)
+        reference = make_facade(tmp_path / "uncached", cache=False)
+        reference.register_tenant("acme", instance)
+        for delta in deltas:
+            (response,) = serve(facade, [ReplanRequest("acme", delta)])
+            (expected,) = serve(reference, [ReplanRequest("acme", delta)])
+            assert response.ok, response.error
+            assert response.solution.classifiers == expected.solution.classifiers
+            verify_solution(
+                facade._tenants["acme"].instance,
+                response.solution,
+                response.solution.meta["certificate"],
+            )
 
     def test_stale_replan_is_an_error_response(self, tmp_path):
         facade = make_facade(tmp_path)

@@ -182,7 +182,7 @@ class TestAnytimeMetaSolver:
         fingerprint = instance_fingerprint(workload)
         best = max(
             (
-                get_solver(arm)(workload, seed_for("slo", arm, fingerprint), False)
+                get_solver(arm)(workload, seed_for("slo", arm, fingerprint))
                 for arm in DEFAULT_ARMS
             ),
             key=lambda s: (s.utility, -s.cost),

@@ -8,6 +8,8 @@ default-arm sweep, and the metamorphic layer on the paper instance.
 
 import ast
 import dataclasses
+import importlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -32,6 +34,7 @@ from repro.core.errors import (
     WitnessCertificateError,
 )
 from repro.datasets.synthetic import generate_synthetic
+from repro.mc3 import solve_mc3
 from repro.verify import (
     SolutionCertificate,
     attach_certificate,
@@ -41,6 +44,7 @@ from repro.verify import (
     run_differential,
     run_metamorphic,
     self_test,
+    verify_cover,
     verify_solution,
 )
 from tests.conftest import figure1_instance
@@ -87,14 +91,31 @@ class TestCertificateRoundTrip:
         )
 
     def test_attach_certificate_lands_in_meta(self, fig1_b4):
-        solution = solve_bcc(fig1_b4, certify=True)
+        solution = solve_bcc(fig1_b4)
+        assert "certificate" not in solution.meta  # solvers only answer
+        certified = attach_certificate(fig1_b4, solution, budget=fig1_b4.budget)
+        assert certified is solution
         cert = solution.meta["certificate"]
         assert isinstance(cert, SolutionCertificate)
         assert cert.total_utility == solution.utility
 
-    def test_certify_flag_on_every_bcc_entry_point(self, fig1_b4):
-        for solver in (solve_bcc, solve_bcc_exact):
-            assert "certificate" in solver(fig1_b4, certify=True).meta
+
+class TestVerifyCover:
+    def test_accepts_the_mc3_cover(self, fig1_b4):
+        cover = solve_mc3(fig1_b4)
+        assert cover == {fs("x"), fs("y"), fs("z")}
+        verify_cover(fig1_b4, cover)
+
+    def test_dropped_classifier_leaves_a_query_uncovered(self, fig1_b4):
+        cover = solve_mc3(fig1_b4)
+        for classifier in cover:
+            with pytest.raises(CoverageCertificateError):
+                verify_cover(fig1_b4, cover - {classifier})
+
+    def test_infinite_cost_classifier_rejected(self, fig1_b4):
+        assert math.isinf(fig1_b4.cost(fs("xy")))
+        with pytest.raises(CostCertificateError):
+            verify_cover(fig1_b4, solve_mc3(fig1_b4) | {fs("xy")})
 
 
 class TestTamperedCertificateRejection:
@@ -249,7 +270,8 @@ class TestPropertyBasedCertification:
     @given(instance=solvable_instances(max_queries=4, max_length=2))
     @settings(max_examples=40, deadline=None)
     def test_exact_solver_certifies_and_round_trips(self, instance):
-        solution = solve_bcc_exact(instance, certify=True)
+        solution = solve_bcc_exact(instance)
+        attach_certificate(instance, solution, budget=instance.budget)
         cert = solution.meta["certificate"]
         recycled = SolutionCertificate.from_json(
             json.loads(json.dumps(cert.to_json()))
@@ -265,15 +287,49 @@ class TestPropertyBasedCertification:
     def test_heuristic_certifies_on_adversarial_instances(self, instance):
         # Zero costs, infinite costs and tight budgets included: the
         # heuristic must stay feasible and its bookkeeping certifiable.
-        solution = solve_bcc(instance, certify=True)
-        assert "certificate" in solution.meta
-        # Certifying never changes the answer.
-        plain = solve_bcc(instance)
-        assert (solution.classifiers, solution.utility, solution.cost) == (
-            plain.classifiers,
-            plain.utility,
-            plain.cost,
-        )
+        verify_solution(instance, solve_bcc(instance), budget=instance.budget)
+
+
+class TestSolversOnlyAnswer:
+    """One way to certify: a caller attaches the certificate to an answer,
+    so no solver, registry entry, task or config takes a certify flag."""
+
+    @pytest.mark.parametrize(
+        "package",
+        [
+            "repro.algorithms",
+            "repro.baselines",
+            "repro.mc3",
+            "repro.extensions",
+            "repro.incremental",
+        ],
+    )
+    def test_no_exported_callable_takes_certify(self, package):
+        module = importlib.import_module(package)
+        for name in module.__all__:
+            exported = getattr(module, name)
+            if isinstance(exported, type) and issubclass(exported, Exception):
+                continue
+            if callable(exported):
+                parameters = inspect.signature(exported).parameters
+                assert "certify" not in parameters, f"{package}.{name}"
+
+    def test_every_registry_entry_takes_instance_and_seed(self):
+        from repro.parallel.registry import get_solver, solver_names
+
+        for name in solver_names():
+            parameters = inspect.signature(get_solver(name)).parameters.values()
+            assert [(p.name, p.default) for p in parameters] == [
+                ("instance", inspect.Parameter.empty),
+                ("seed", None),
+            ], name
+
+    def test_tasks_and_configs_carry_no_certify_field(self):
+        from repro.incremental import IncrementalConfig
+        from repro.parallel import ParallelConfig, SolveTask
+
+        for kind in (SolveTask, ParallelConfig, IncrementalConfig):
+            assert "certify" not in {f.name for f in dataclasses.fields(kind)}
 
 
 class TestVerifierIndependence:
