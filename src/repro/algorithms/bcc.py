@@ -18,7 +18,6 @@ the Knapsack/QK objective overcounts can never inflate the result.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
@@ -29,13 +28,7 @@ from repro.core.model import BCCInstance, Classifier, Query
 from repro.core.solution import Solution, evaluate
 from repro.knapsack.solvers import solve_knapsack
 from repro.mc3 import InfeasibleCoverError, solve_mc3
-from repro.profile import (
-    PhaseProfiler,
-    activate,
-    current_profiler,
-    phase,
-    profiling_enabled,
-)
+from repro.profile import current_profiler, phase
 from repro.qk import QKConfig, solve_qk
 
 
@@ -378,28 +371,11 @@ def solve_bcc(
 ) -> Solution:
     """Run ``A^BCC`` on ``instance`` and return an evaluated solution.
 
-    When a :mod:`repro.profile` profiler is active — or ``REPRO_PROFILE=1``
-    asks for a solve-scoped one — per-phase seconds and probe/rebuild
-    counts are attached as ``solution.meta["profile"]``.  Without one, no
-    phase timers run and the meta key is absent, so cached solutions stay
-    byte-identical to unprofiled runs.
+    The solve reports its stage seconds and its tracker counters to the
+    active :mod:`repro.profile` profiler, if a caller activated one, and
+    nowhere else: the solution is the same with or without one.
     """
-    prof = current_profiler()
-    if prof is None and profiling_enabled():
-        with activate(PhaseProfiler()) as prof:
-            solution = _solve_bcc_impl(instance, config)
-    else:
-        solution = _solve_bcc_impl(instance, config)
-    if prof is not None:
-        solution.meta["profile"] = prof.snapshot()
-    return solution
-
-
-def _solve_bcc_impl(
-    instance: BCCInstance, config: Optional[AbccConfig]
-) -> Solution:
     config = config or AbccConfig()
-    started = time.perf_counter()
 
     # ------------------------------------------------------------------
     # line 1: preprocessing
@@ -420,90 +396,73 @@ def _solve_bcc_impl(
     residual.select([c for c in allowed if instance.cost(c) == 0.0])
 
     rounds = 0
-    round_times: List[float] = []
-    qk_nodes: List[int] = []
-    qk_edges: List[int] = []
     while rounds < config.max_rounds:
         rounds += 1
-        round_started = time.perf_counter()
-        try:
-            remaining = instance.budget - residual.spent()
-            if remaining <= 1e-9:
-                break
-            # Only the first round is throttled, unless it is also the
-            # last chance to spend whatever remains.
-            round_throttled = rounds == 1 and rounds < config.max_rounds - 1
-            round_budget = (
-                remaining * FIRST_ROUND_FRACTION if round_throttled else remaining
-            )
+        remaining = instance.budget - residual.spent()
+        if remaining <= 1e-9:
+            break
+        # Only the first round is throttled, unless it is also the
+        # last chance to spend whatever remains.
+        round_throttled = rounds == 1 and rounds < config.max_rounds - 1
+        round_budget = remaining * FIRST_ROUND_FRACTION if round_throttled else remaining
 
-            # --------------------------------------------------------------
-            # line 2: BCC(1) via Knapsack and BCC(2) via A_H^QK, best of two
-            # --------------------------------------------------------------
-            with phase("knapsack"):
-                items = residual.knapsack_items(round_budget)
-                _, chosen_items = solve_knapsack(items, round_budget)
-                knapsack_pick = frozenset(item.key for item in chosen_items)
+        # --------------------------------------------------------------
+        # line 2: BCC(1) via Knapsack and BCC(2) via A_H^QK, best of two
+        # --------------------------------------------------------------
+        with phase("knapsack"):
+            items = residual.knapsack_items(round_budget)
+            _, chosen_items = solve_knapsack(items, round_budget)
+            knapsack_pick = frozenset(item.key for item in chosen_items)
 
-            with phase("qk_build"):
-                qk_graph = residual.qk_graph(round_budget)
-                if config.pruning is not None:
-                    qk_graph = prune_qk_graph(qk_graph, config.pruning)
-                qk_graph = _augment_with_singleton_bonus(
-                    residual, qk_graph, round_budget
+        with phase("qk_build"):
+            qk_graph = residual.qk_graph(round_budget)
+            if config.pruning is not None:
+                qk_graph = prune_qk_graph(qk_graph, config.pruning)
+            qk_graph = _augment_with_singleton_bonus(residual, qk_graph, round_budget)
+        qk_pick: FrozenSet[Classifier] = frozenset()
+        if qk_graph.num_edges() > 0:
+            with phase("qk_solve"):
+                qk_pick = frozenset(
+                    c for c in solve_qk(qk_graph, round_budget, config.qk)
+                    if c != _SINGLETON_BONUS
                 )
-                qk_nodes.append(len(qk_graph))
-                qk_edges.append(qk_graph.num_edges())
-            qk_pick: FrozenSet[Classifier] = frozenset()
-            if qk_graph.num_edges() > 0:
-                with phase("qk_solve"):
-                    qk_pick = frozenset(
-                        c for c in solve_qk(qk_graph, round_budget, config.qk)
-                        if c != _SINGLETON_BONUS
-                    )
 
-            picks = [knapsack_pick, qk_pick]
-            uncovered = residual.uncovered_queries()
-            total_uncovered = sum(instance.utility(q) for q in uncovered)
-            deep = sum(
-                instance.utility(q)
-                for q in uncovered
-                if len(residual.missing(q)) >= 3
-            )
-            if total_uncovered > 0 and deep / total_uncovered >= COVER_ARM_THRESHOLD:
-                with phase("cover_greedy"):
-                    picks.append(_cover_greedy_pick(residual, round_budget))
+        picks = [knapsack_pick, qk_pick]
+        uncovered = residual.uncovered_queries()
+        total_uncovered = sum(instance.utility(q) for q in uncovered)
+        deep = sum(instance.utility(q) for q in uncovered if len(residual.missing(q)) >= 3)
+        if total_uncovered > 0 and deep / total_uncovered >= COVER_ARM_THRESHOLD:
+            with phase("cover_greedy"):
+                picks.append(_cover_greedy_pick(residual, round_budget))
 
-            # True-coverage comparison; infeasible picks are discarded.
-            # Each pick is probed read-only against the current selection.
-            best_pick: FrozenSet[Classifier] = frozenset()
-            best_gain = 0.0
-            best_cost = 0.0
-            with phase("pick_eval"):
-                pick_scores = [residual.evaluate_gain(pick) for pick in picks]
-            for pick, (gain, cost) in zip(picks, pick_scores):
-                if cost <= remaining + 1e-9 and (
-                    gain > best_gain + 1e-9
-                    or (gain > 0 and abs(gain - best_gain) <= 1e-9 and cost < best_cost)
-                ):
-                    best_pick, best_gain, best_cost = pick, gain, cost
+        # True-coverage comparison; infeasible picks are discarded.
+        # Each pick is probed read-only against the current selection.
+        best_pick: FrozenSet[Classifier] = frozenset()
+        best_gain = 0.0
+        best_cost = 0.0
+        with phase("pick_eval"):
+            pick_scores = [residual.evaluate_gain(pick) for pick in picks]
+        for pick, (gain, cost) in zip(picks, pick_scores):
+            if cost <= remaining + 1e-9 and (
+                gain > best_gain + 1e-9
+                or (gain > 0 and abs(gain - best_gain) <= 1e-9 and cost < best_cost)
+            ):
+                best_pick, best_gain, best_cost = pick, gain, cost
 
-            if best_gain <= 0:
-                if round_throttled:
-                    # The throttled round found nothing affordable; retry
-                    # with the full remaining budget before giving up.
-                    continue
-                break
-            residual.select(best_pick)
+        if best_gain <= 0:
+            if round_throttled:
+                # The throttled round found nothing affordable; retry
+                # with the full remaining budget before giving up.
+                continue
+            break
+        residual.select(best_pick)
 
-            # --------------------------------------------------------------
-            # line 3: MC3 local-search improvement
-            # --------------------------------------------------------------
-            if config.use_mc3:
-                with phase("mc3"):
-                    _mc3_improve(residual, instance)
-        finally:
-            round_times.append(time.perf_counter() - round_started)
+        # --------------------------------------------------------------
+        # line 3: MC3 local-search improvement
+        # --------------------------------------------------------------
+        if config.use_mc3:
+            with phase("mc3"):
+                _mc3_improve(residual, instance)
 
     final_selection: Set[Classifier] = set(residual.selected)
     if config.final_polish:
@@ -529,16 +488,5 @@ def _solve_bcc_impl(
             "algorithm": "A^BCC",
             "rounds": rounds,
             "allowed_classifiers": len(allowed),
-            "runtime_sec": time.perf_counter() - started,
-            "engine": {
-                "kernel": residual.tracker.engine_name,
-                "rebuilds_avoided": residual.stats["rebuilds_avoided"],
-                "resets": residual.stats["resets"],
-                "rollbacks": residual.tracker.rollbacks,
-                "transpose_rebuilds": residual.tracker.transpose_rebuilds,
-                "qk_nodes": qk_nodes,
-                "qk_edges": qk_edges,
-                "round_times_sec": round_times,
-            },
         },
     )

@@ -11,7 +11,6 @@ solution that reaches the target.
 
 from __future__ import annotations
 
-import time
 from typing import FrozenSet, Optional, Set, Tuple
 
 from repro.algorithms.bcc import AbccConfig, solve_bcc
@@ -159,7 +158,6 @@ def solve_gmc3(instance: GMC3Instance) -> Solution:
             the workload, or the utility coverable at finite cost — in
             either case no classifier set can reach it.
     """
-    started = time.perf_counter()
     total = instance.total_utility()
     if instance.target > total + 1e-9:
         raise InfeasibleTargetError(
@@ -219,7 +217,6 @@ def solve_gmc3(instance: GMC3Instance) -> Solution:
         meta={
             "algorithm": "A^GMC3",
             "budget_upper_bound": high,
-            "runtime_sec": time.perf_counter() - started,
             "reached_target": True,
         },
     )

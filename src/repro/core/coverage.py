@@ -271,7 +271,7 @@ class CoverageTracker:
     #: assert hot paths stay rebuild-free by snapshotting this counter).
     constructed: int = 0
 
-    #: Backend name surfaced in solver telemetry.
+    #: Backend name, as ``REPRO_ENGINE`` spells it.
     engine_name: str = "sets"
 
     def __new__(cls, workload: Optional[ClassifierWorkload] = None):

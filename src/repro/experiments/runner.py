@@ -71,9 +71,10 @@ class FigureResult:
         extras canonicalize through the cache payload encoding (sorted
         classifier lists, no iteration-order leakage).  Two runs of the
         same figure produced identical rows iff their canonical strings
-        are byte-identical.  ``include_seconds=False`` drops everything
-        wall-clock — the timing column *and* solver timing telemetry in
-        solution metas — for comparisons across cold runs.
+        are byte-identical.  ``include_seconds=False`` drops the timing
+        column and the solution metas (diagnostics beside the answer, such
+        as the SLO meta-solver's clock readings) for comparisons across
+        cold runs.
         """
         from repro.parallel.cache import solution_to_payload
 

@@ -10,7 +10,8 @@ mutable :class:`BCCInstance` and solves it shard by shard:
    re-plan;
 2. every shard missing from the profile store is solved over its
    candidate budget grid through :func:`repro.parallel.pool.run_tasks` —
-   one :class:`~repro.parallel.pool.SolveTask` per (shard, budget point);
+   one :class:`~repro.parallel.pool.SolveTask` per (shard, budget point),
+   never through a result cache;
 3. solved per-shard pareto profiles are stored *content-addressed* under
    the shard's budget-free
    :func:`~repro.parallel.fingerprint.workload_fingerprint` — a shard
@@ -53,7 +54,6 @@ from __future__ import annotations
 
 import math
 import os
-import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
@@ -65,7 +65,6 @@ from repro.core.solution import Solution, evaluate
 from repro.decompose.allocator import ProfilePoint, allocate, budget_grid
 from repro.decompose.partition import WorkloadPartition, partition_workload
 from repro.incremental.delta import WorkloadDelta
-from repro.parallel.cache import ResultCache
 from repro.parallel.clock import Clock
 from repro.parallel.fingerprint import shard_fingerprints
 from repro.parallel.pool import ParallelConfig, SolveTask, resolve_jobs, run_tasks
@@ -148,11 +147,14 @@ def _check_composition(
 class IncrementalConfig:
     """Tuning knobs for :class:`IncrementalSolver` and :func:`solve_bcc_sharded`.
 
+    A solved shard point lives only in the solver's profile store, never
+    in a result cache, so a re-plan's answer never depends on what
+    another process wrote to disk.
+
     Attributes:
         jobs: worker processes for the shard fan-out (``None`` defers to
             ``REPRO_JOBS``; tiny batches run serially either way).  Keep
             at 1 when the caller itself runs inside a process pool.
-        cache: optional :class:`ResultCache` shared with the task layer.
         clock: injected time for the dirty-shard task batches (``None``
             uses the system clock).  A virtual clock forces the batches
             serial and charges simulated seconds, which is what lets the
@@ -160,7 +162,6 @@ class IncrementalConfig:
     """
 
     jobs: Optional[int] = None
-    cache: Optional[ResultCache] = field(default=None, repr=False)
     clock: Optional[Clock] = field(default=None, repr=False)
 
 
@@ -216,7 +217,6 @@ class IncrementalSolver:
     def _resolve(
         self, partition: WorkloadPartition, delta: Optional[WorkloadDelta]
     ) -> Solution:
-        started = time.perf_counter()
         instance = self.instance
         budget = instance.budget
         # Every live shard's profile must survive the whole re-plan: the
@@ -340,7 +340,6 @@ class IncrementalSolver:
                     "path": path,
                     "grid_sizes": [len(grid) for grid in grids],
                 },
-                "runtime_sec": time.perf_counter() - started,
             },
         )
         _check_composition(result, allocated_utility, shard_spends, list(chosen))
@@ -366,7 +365,8 @@ class IncrementalSolver:
 
         Returns the shard index of each task run.  Tasks are keyed and
         seeded by the shard *fingerprint*, not its index, so a shard keeps
-        its derived seeds (and its cache rows) across re-partitionings.
+        its derived seeds across re-partitionings.  The batch runs with no
+        result cache: the profile store is the one copy of a shard solve.
         """
         config = self.config
         tasks: List[SolveTask] = []
@@ -390,10 +390,7 @@ class IncrementalSolver:
                 owners.append((fp, index, point))
         if tasks:
             jobs = effective_jobs(config.jobs, tasks)
-            results = run_tasks(
-                tasks,
-                ParallelConfig(jobs=jobs, cache=config.cache, clock=config.clock),
-            )
+            results = run_tasks(tasks, ParallelConfig(jobs=jobs, clock=config.clock))
             for (fp, index, point), result in zip(owners, results):
                 profile = self._profiles.get(fp)
                 if profile is None:
@@ -459,7 +456,6 @@ def solve_bcc_sharded(
     :data:`MAX_GRID_POINTS` budgets of that same instance and can pick a
     different selection than the inner solver does.
     """
-    started = time.perf_counter()
     partition = partition_workload(instance)
     if partition.num_shards > 1:
         return IncrementalSolver(instance, config, seed)._resolve(partition, delta=None)
@@ -479,5 +475,4 @@ def solve_bcc_sharded(
         "path": "monolithic-fallback",
         "grid_sizes": [1],
     }
-    meta["runtime_sec"] = time.perf_counter() - started
     return replace(solution, meta=meta)

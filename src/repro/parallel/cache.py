@@ -1,13 +1,20 @@
 """Deterministic on-disk result cache for solve tasks.
 
+Two callers hold one: :func:`repro.parallel.pool.run_tasks`, for
+``python -m repro.experiments --cache``, and the serving façade, for the
+answers of its coalesced ``plan`` / ``what_if`` groups.  Re-plans never
+reach it: their shard solves live in the tenant's profile store.
+
 One JSON file per fingerprint under ``.repro-cache/`` (override with
-``REPRO_CACHE_DIR``; disable globally with ``REPRO_CACHE=0``).  Entries
-hold the full :class:`~repro.core.solution.Solution` payload — classifier
+``REPRO_CACHE_DIR``).  Entries hold the full
+:class:`~repro.core.solution.Solution` payload — classifier
 sets, covered queries, cost/utility as exact round-trip floats — plus the
 original solve's wall seconds, so a cache hit reproduces the original
 result byte for byte, timing included.  That is what makes repeated
 sweeps deterministic: warm runs of a figure return *identical* rows, not
-merely equal utilities.
+merely equal utilities.  Both callers re-verify every hit and
+:meth:`ResultCache.reject` the ones that fail, so ``stats.hits`` counts
+only the hits that were served.
 
 The cache is LRU-bounded: reads bump the entry's mtime and writes evict
 the oldest entries beyond ``max_entries``.  All cache I/O happens in the
@@ -140,6 +147,16 @@ class ResultCache:
             pass
         return solution, seconds
 
+    def reject(self, fingerprint: str) -> None:
+        """Refuse the hit :meth:`get` just served: a caller's check of it
+        failed, so it counts as a miss and the entry is deleted."""
+        self.stats.hits -= 1
+        self.stats.misses += 1
+        try:
+            os.unlink(self._path(fingerprint))
+        except OSError:
+            pass
+
     def put(self, fingerprint: str, solution: Solution, seconds: float) -> None:
         """Store one solved task and evict beyond the LRU bound."""
         if not math.isfinite(seconds):
@@ -196,13 +213,7 @@ class ResultCache:
                 pass
 
 
-def default_cache(directory: Optional[str] = None) -> Optional[ResultCache]:
-    """The environment-configured cache, or None when caching is disabled.
-
-    ``REPRO_CACHE=0`` disables caching outright; ``REPRO_CACHE_DIR``
-    overrides the default ``.repro-cache/`` location.
-    """
-    if os.environ.get("REPRO_CACHE", "1") == "0":
-        return None
+def default_cache(directory: Optional[str] = None) -> ResultCache:
+    """A cache in ``directory``, else ``REPRO_CACHE_DIR``, else ``.repro-cache/``."""
     root = directory or os.environ.get("REPRO_CACHE_DIR", DEFAULT_CACHE_DIR)
     return ResultCache(directory=Path(root))

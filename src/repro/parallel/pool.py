@@ -17,8 +17,9 @@ fingerprint (instance ⊕ solver ⊕ seed) is consulted first and only the
 misses are executed; stored entries include the original wall seconds, so
 warm sweeps reproduce cold rows exactly.  A stored entry is not trusted:
 every hit is re-verified against its task's instance, and one that fails
-is solved cold and overwritten.  Results carry no certificate; a caller
-that reads one attaches it (:func:`repro.verify.certificate.attach_certificate`).
+is rejected (a miss in the cache's stats), solved cold and overwritten.
+Results carry no certificate; a caller that reads one attaches it
+(:func:`repro.verify.certificate.attach_certificate`).
 
 All timing goes through the config's :class:`~repro.parallel.clock.Clock`
 (default: the system clock).  A :class:`~repro.parallel.clock.VirtualClock`
@@ -188,13 +189,15 @@ def run_tasks(
             fingerprint = task_fingerprint(task.instance, task.solver, task.seed)
             fingerprints[index] = fingerprint
             hit = config.cache.get(fingerprint)
-            if hit is not None and _certifies(task, hit[0]):
-                solution, seconds = hit
-                results[index] = TaskResult(
-                    task.key, solution, seconds, cached=True,
-                    timed_out=_is_timed_out(task, seconds),
-                )
-                continue
+            if hit is not None:
+                if _certifies(task, hit[0]):
+                    solution, seconds = hit
+                    results[index] = TaskResult(
+                        task.key, solution, seconds, cached=True,
+                        timed_out=_is_timed_out(task, seconds),
+                    )
+                    continue
+                config.cache.reject(fingerprint)
         misses.append(index)
 
     miss_tasks = [tasks[i] for i in misses]

@@ -7,24 +7,19 @@ transpose rebuilds, memo hits).
 ``solve_bcc``, the tracker probe paths, and the HkS portfolio report into
 whichever profiler is *active*; when none is, every hook is a single
 ``is None`` test — near-zero overhead on the paths this module exists to
-measure.
-
-Enable globally with ``REPRO_PROFILE=1`` (checked per solve, so tests can
-flip it), or scope explicitly::
+measure.  The caller that activates a profiler is the only reader of what
+it records::
 
     with activate(PhaseProfiler()) as prof:
         solve_bcc(instance)
     print(prof.snapshot())
 
-When a profiler is active (or the env var is set), ``solve_bcc`` attaches
-the snapshot as ``Solution.meta["profile"]``.  When disabled, the meta key
-is absent and solutions stay byte-identical to unprofiled runs — the
-result cache never sees profiling noise.
+Nothing of it reaches a solution, so profiled and unprofiled solves return
+the same answer, meta included.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional
 
@@ -37,7 +32,6 @@ __all__ = [
     "current_profiler",
     "phase",
     "add_count",
-    "profiling_enabled",
 ]
 
 
@@ -119,13 +113,3 @@ def add_count(name: str, amount: int = 1) -> None:
     """Bump a counter on the active profiler; no-op when none is."""
     if _ACTIVE:
         _ACTIVE[-1].add_count(name, amount)
-
-
-def profiling_enabled() -> bool:
-    """Whether ``REPRO_PROFILE`` asks solves to self-profile."""
-    return os.environ.get("REPRO_PROFILE", "").strip().lower() not in (
-        "",
-        "0",
-        "false",
-        "off",
-    )

@@ -16,11 +16,12 @@ typed error, routed through the machinery the previous PRs built:
   re-verified from first principles against the live instance
   (:func:`~repro.verify.certificate.attach_certificate`), so a tampered
   cache payload is rejected at the serving layer and the request falls
-  back to a cold solve;
+  back to a cold solve.  The cache holds group answers only;
 - **warm re-plans** — ``replan`` requests mutate the tenant's workload
   through its own :class:`~repro.incremental.engine.IncrementalSolver`,
-  reusing every untouched shard profile, and the façade certifies the
-  answer as it does a cache hit;
+  reusing every untouched shard profile from that solver's store (never
+  from the cache), and the façade certifies the answer as it does a
+  cache hit;
 - **deadline-policy cold solves** — cache misses go through the PR-8
   :class:`~repro.slo.meta.AnytimeMetaSolver`, which admits arms through
   the PR-3 task pool under the request's latency SLO and always returns
@@ -80,8 +81,10 @@ class ServingConfig:
         clock: injected time; ``None`` uses the system clock.  Install a
             virtual clock (e.g. :func:`~repro.slo.meta.tier_prior_clock`) for
             deterministic replays.
-        cache: serving-level result cache; ``None`` disables the warm
-            path entirely (every plan solves cold).
+        cache: result cache for the answers of coalesced ``plan`` /
+            ``what_if`` groups, one entry per meta-solver solve; ``None``
+            makes every group solve cold.  Re-plans never touch it: a
+            tenant's shard solves live in its own profile store.
         jobs: pool width for cold solves and dirty-shard fan-out
             (``None`` defers to ``REPRO_JOBS``; a virtual clock forces 1).
         tick_seconds: width of one coalescing window on the clock.
@@ -150,22 +153,6 @@ class _Group:
         return {pending.request.tenant for pending in self.members}
 
 
-class _TenantState:
-    """Everything the façade holds for one tenant."""
-
-    def __init__(self, name: str, solver: IncrementalSolver) -> None:
-        self.name = name
-        self.solver = solver
-
-    @property
-    def instance(self) -> BCCInstance:
-        return self.solver.instance
-
-    @property
-    def version(self) -> int:
-        return self.solver.instance.version
-
-
 class ServingFacade:
     """Async multi-tenant request loop over the solver stack.
 
@@ -184,7 +171,8 @@ class ServingFacade:
         self._meta = AnytimeMetaSolver(
             SloConfig(arms=self.config.arms, clock=self.clock, jobs=self.config.jobs)
         )
-        self._tenants: Dict[str, _TenantState] = {}
+        #: Each tenant's warm solver, which owns the tenant's workload.
+        self._tenants: Dict[str, IncrementalSolver] = {}
         self._inbox: List[_Pending] = []
         self._seq = 0
         self._running = False
@@ -205,18 +193,16 @@ class ServingFacade:
             )
         solver = IncrementalSolver(
             instance.clone(),
-            config=IncrementalConfig(
-                jobs=self.config.jobs, cache=self.cache, clock=self.clock
-            ),
+            config=IncrementalConfig(jobs=self.config.jobs, clock=self.clock),
         )
-        self._tenants[name] = _TenantState(name, solver)
-        return self._tenants[name].version
+        self._tenants[name] = solver
+        return solver.instance.version
 
     def tenant_version(self, name: str) -> int:
         """The tenant's current workload version (for optimistic replans)."""
         if name not in self._tenants:
             raise UnknownTenantError(f"unknown tenant {name!r}")
-        return self._tenants[name].version
+        return self._tenants[name].instance.version
 
     def tenants(self) -> List[str]:
         return sorted(self._tenants)
@@ -363,8 +349,8 @@ class ServingFacade:
 
         for pending in ordered:
             request = pending.request
-            state = self._tenants.get(request.tenant)
-            if state is None:
+            solver = self._tenants.get(request.tenant)
+            if solver is None:
                 responses[pending.seq] = self._error_response(
                     pending,
                     UnknownTenantError(f"unknown tenant {request.tenant!r}"),
@@ -373,10 +359,10 @@ class ServingFacade:
                 continue
             if isinstance(request, ReplanRequest):
                 flush(request.tenant)
-                responses[pending.seq] = self._execute_replan(pending, state, tick)
+                responses[pending.seq] = self._execute_replan(pending, solver, tick)
                 continue
             try:
-                instance = self._effective_instance(request, state)
+                instance = self._effective_instance(request, solver.instance)
             except ReproError as exc:
                 responses[pending.seq] = self._error_response(pending, exc, tick)
                 continue
@@ -401,10 +387,9 @@ class ServingFacade:
         return out
 
     def _effective_instance(
-        self, request: ServeRequest, state: _TenantState
+        self, request: ServeRequest, instance: BCCInstance
     ) -> BCCInstance:
-        """The instance a non-mutating request actually asks about."""
-        instance = state.instance
+        """The instance a non-mutating request asks about, given the tenant's."""
         if getattr(request, "delta", None) is not None:
             hypothetical = instance.clone()
             hypothetical.apply_delta(request.delta)
@@ -454,7 +439,7 @@ class ServingFacade:
                     cache_state = "hit"
                     self.counters.cache_hits += 1
                 except CertificateError:
-                    solution = None
+                    self.cache.reject(group.fingerprint)
                     cache_state = "rejected"
                     self.counters.cache_rejected += 1
             else:
@@ -488,28 +473,28 @@ class ServingFacade:
                     cache=cache_state,
                     path="cache" if cache_state == "hit" else "slo",
                     arm=arm,
-                    extra={"slo": solution.meta.get("slo")},
                 ),
             )
 
     def _execute_replan(
-        self, pending: _Pending, state: _TenantState, tick: int
+        self, pending: _Pending, solver: IncrementalSolver, tick: int
     ) -> ServeResponse:
         """Apply the delta through the tenant's warm incremental solver."""
         request = pending.request
         start = self.clock.now()
         try:
+            version = solver.instance.version
             if (
                 request.expected_version is not None
-                and request.expected_version != state.version
+                and request.expected_version != version
             ):
                 raise StaleWorkloadError(
-                    f"tenant {request.tenant!r} is at version {state.version}, "
+                    f"tenant {request.tenant!r} is at version {version}, "
                     f"replan expected {request.expected_version}"
                 )
-            solution = state.solver.resolve_delta(request.delta)
+            solution = solver.resolve_delta(request.delta)
             solution = attach_certificate(
-                state.instance, solution, budget=state.instance.budget
+                solver.instance, solution, budget=solver.instance.budget
             )
         except ReproError as exc:
             return self._error_response(pending, exc, tick)
@@ -530,10 +515,6 @@ class ServingFacade:
                 cache=None,
                 path="incremental",
                 arm=INNER_SOLVER,
-                extra={
-                    "incremental": solution.meta.get("incremental"),
-                    "version": state.version,
-                },
             ),
         )
 
@@ -550,9 +531,8 @@ class ServingFacade:
         cache: Optional[str],
         path: Optional[str],
         arm: Optional[str],
-        extra: Optional[Dict[str, object]] = None,
     ) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+        return {
             "arrival_s": pending.arrival_s,
             "start_s": start,
             "finish_s": finish,
@@ -564,9 +544,6 @@ class ServingFacade:
             "arm": arm,
             "tick": tick,
         }
-        if extra:
-            payload.update(extra)
-        return payload
 
     def _error_response(
         self, pending: _Pending, exc: ReproError, tick: int

@@ -20,8 +20,8 @@ batch size, cache disposition and the arm that produced the answer.
 :meth:`ServeResponse.canonical` is the determinism contract: the
 byte-exact JSON encoding of everything that must be identical when a
 trace replays under a virtual clock — across runs, engines and worker
-counts.  Volatile diagnostics (wall seconds, engine name, full solver
-telemetry) deliberately stay outside it.
+counts.  ``service_s`` and the solution's meta, where the solvers keep
+their own diagnostics, deliberately stay outside it.
 """
 
 from __future__ import annotations
@@ -135,11 +135,11 @@ class ServeResponse:
             present) when ``status == "ok"``.
         error: the error's class name when ``status == "error"``.
         detail: the error message (diagnostic, excluded from canonical).
-        telemetry: per-request serving record — deterministic fields
-            (timestamps on the façade clock, ``queue_wait_s``,
-            ``batch_size``, ``cache``, ``path``, ``arm``, ``tick``) plus
-            volatile diagnostics under the ``"slo"`` / ``"incremental"``
-            keys.
+        telemetry: per-request serving record: timestamps on the façade
+            clock, ``queue_wait_s``, ``service_s``, ``batch_size``,
+            ``cache``, ``path``, ``arm`` and ``tick``.  The solver's own
+            diagnostics stay in ``solution.meta`` (``"slo"`` for a group
+            solve, ``"incremental"`` for a re-plan).
     """
 
     request_id: int

@@ -240,14 +240,15 @@ class TestEngineCounters:
         residual.evaluate_gain([fs("x"), fs("y"), fs("z")])
         assert _snapshot(residual.tracker) == before
 
-    def test_solution_meta_reports_engine(self, fig1_b11):
+    def test_profiler_reports_engine_counters(self, fig1_b11):
         from repro.algorithms.bcc import solve_bcc
+        from repro.profile import PhaseProfiler, activate
 
-        meta = solve_bcc(fig1_b11).meta["engine"]
-        assert meta["rebuilds_avoided"] > 0
-        assert meta["rollbacks"] >= meta["rebuilds_avoided"]
-        assert len(meta["qk_nodes"]) == len(meta["qk_edges"])
-        assert len(meta["round_times_sec"]) >= 1
+        with activate(PhaseProfiler()) as prof:
+            solve_bcc(fig1_b11)
+        assert prof.counts["rebuilds_avoided"] > 0
+        assert prof.counts["tracker_probes"] >= prof.counts["rebuilds_avoided"]
+        assert prof.calls["qk_build"] >= 1
 
 
 class TestCoverGreedyParking:

@@ -5,8 +5,8 @@ Structural invariants of :func:`repro.decompose.partition_workload`
 agree), exactness of the allocator (grouped DP vs. pareto merge), and
 end-to-end guarantees of :func:`repro.incremental.solve_bcc_sharded`
 (feasibility, certificates, ≥-monolithic utility on the seeded corpus,
-exact equality when the budget is non-binding, the one-shard fallback
-and shard tasks served from a shared result cache).
+exact equality when the budget is non-binding, and the one-shard
+fallback).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from repro.decompose import (
 from repro.decompose.allocator import _pareto_allocate
 from repro.incremental import IncrementalConfig, solve_bcc_sharded
 from repro.parallel import registry
-from repro.parallel.cache import ResultCache
 from repro.verify.certificate import attach_certificate, verify_solution
 from repro.verify.corpus import corpus
 
@@ -303,21 +302,6 @@ def test_single_shard_runs_the_inner_solver_once_on_the_whole_instance(
     monolithic = solve_bcc(fig1_b4)
     assert solution.classifiers == monolithic.classifiers
     assert (solution.utility, solution.cost) == (monolithic.utility, monolithic.cost)
-
-
-def test_same_budget_resolve_serves_every_shard_task_from_the_cache(tmp_path):
-    instance = _fragmented_6x30()
-    cache = ResultCache(directory=tmp_path)
-    config = IncrementalConfig(jobs=1, cache=cache)
-    first = solve_bcc_sharded(instance, config, seed=3)
-    tasks = first.meta["incremental"]["solved_tasks"]
-    assert tasks == first.meta["incremental"]["shards"] == 27
-    assert (cache.stats.hits, cache.stats.stores) == (0, tasks)
-    second = solve_bcc_sharded(instance, config, seed=3)
-    assert second.meta["incremental"]["solved_tasks"] == tasks
-    assert (cache.stats.hits, cache.stats.stores) == (tasks, tasks)
-    assert second.classifiers == first.classifiers
-    assert (second.utility, second.cost) == (first.utility, first.cost)
 
 
 def test_sharded_meta_records_the_decomposition():

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import math
 import os
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +29,6 @@ from repro.incremental import (
     solve_bcc_sharded,
 )
 from repro.incremental.engine import TINY_SHARD_QUERIES, effective_jobs
-from repro.parallel.cache import ResultCache
 from repro.parallel.fingerprint import (
     instance_fingerprint,
     shard_fingerprints,
@@ -275,6 +273,11 @@ class TestIncrementalEngine:
         assert warm.classifiers == cold.classifiers
         assert (warm.utility, warm.cost) == (cold.utility, cold.cost)
 
+    def test_config_has_no_cache_handle(self):
+        # A solved shard point lives only in the profile store, so shard
+        # tasks never reach a result cache.
+        assert [field.name for field in fields(IncrementalConfig)] == ["jobs", "clock"]
+
     @pytest.mark.parametrize("engine", ENGINES)
     def test_warm_equals_cold_nonbinding(self, engine):
         with use_engine(engine):
@@ -368,26 +371,6 @@ class TestIncrementalEngine:
         assert (info["dirty_shards"], info["reused_profiles"]) == (4, 0)
         assert info["solved_tasks"] == len(ran)
         self._assert_equals_cold(solver, warm)
-
-    def test_corrupt_shard_cache_entry_is_solved_cold(self, tmp_path):
-        # A shard row of a shared result cache is re-verified on every hit:
-        # a tampered one is solved cold and overwritten, so it never lands
-        # in the profile store.
-        instance = generate_fragmented(
-            n_components=3, queries_per_component=6, budget=1e6, seed=4
-        )
-        config = IncrementalConfig(jobs=1, cache=ResultCache(directory=tmp_path))
-        cold = IncrementalSolver(instance.clone(), config).solve()
-        entry = sorted(tmp_path.glob("*.json"))[0]
-        honest = entry.read_text()
-        payload = json.loads(honest)
-        payload["solution"]["utility"] += 5.0
-        entry.write_text(json.dumps(payload))
-        warm = IncrementalSolver(instance.clone(), config).solve()
-        assert warm.classifiers == cold.classifiers
-        assert (warm.utility, warm.cost) == (cold.utility, cold.cost)
-        rewritten = json.loads(entry.read_text())["solution"]
-        assert rewritten["utility"] == json.loads(honest)["solution"]["utility"]
 
     def test_cost_reprice_merges_and_splits(self):
         queries = [fs("ab"), fs("bc")]

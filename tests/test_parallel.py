@@ -12,8 +12,8 @@ The layer's contract has three legs, and each gets its own section here:
    instances never collide on the seeded corpus.
 3. **Deterministic caching** — a warm run replays the cold run byte for
    byte (stored wall seconds included), every hit is re-verified and a
-   corrupt one is solved cold, eviction is LRU, and ``REPRO_CACHE=0``
-   switches the whole thing off.
+   corrupt one counts as a miss and is solved cold, eviction is LRU, and
+   ``REPRO_CACHE_DIR`` moves the default cache.
 
 The heavyweight figure sweeps and the 3× stress run are marked ``slow``
 and excluded from the default pytest invocation; the CI ``slow`` leg
@@ -326,6 +326,8 @@ class TestResultCache:
         mended = run_tasks([task], ParallelConfig(jobs=1, cache=cache))[0]
         assert not mended.cached
         assert mended.solution.utility == cold.solution.utility
+        stats = cache.stats
+        assert (stats.hits, stats.misses, stats.stores) == (1, 2, 2)
         again = run_tasks([task], ParallelConfig(jobs=1, cache=cache))[0]
         assert again.cached and again.solution.utility == cold.solution.utility
 
@@ -434,12 +436,9 @@ class TestResultCache:
         assert len(first) == len(second) == 3
 
     def test_default_cache_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "0")
-        assert default_cache() is None
-        monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
-        cache = default_cache()
-        assert cache is not None and cache.directory == tmp_path / "custom"
+        assert default_cache().directory == tmp_path / "custom"
+        assert default_cache(str(tmp_path / "flag")).directory == tmp_path / "flag"
 
 
 # ---------------------------------------------------------------------------

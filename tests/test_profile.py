@@ -11,7 +11,6 @@ from repro.profile import (
     add_count,
     current_profiler,
     phase,
-    profiling_enabled,
 )
 
 
@@ -101,51 +100,27 @@ class TestActivation:
         assert outer.counts == {}
 
 
-class TestEnvGate:
-    @pytest.mark.parametrize("value", ["1", "true", "yes", "on"])
-    def test_truthy_values_enable(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_PROFILE", value)
-        assert profiling_enabled()
-
-    @pytest.mark.parametrize("value", ["", "0", "false", "off", " 0 "])
-    def test_falsy_values_disable(self, monkeypatch, value):
-        monkeypatch.setenv("REPRO_PROFILE", value)
-        assert not profiling_enabled()
-
-    def test_unset_disables(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
-        assert not profiling_enabled()
-
-
 class TestSolveBccIntegration:
-    def test_profile_meta_absent_when_disabled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+    def test_profile_meta_absent_when_disabled(self):
         from repro.algorithms.bcc import solve_bcc
 
         solution = solve_bcc(_instance())
         assert "profile" not in solution.meta
 
-    def test_env_var_attaches_profile_meta(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        from repro.algorithms.bcc import solve_bcc
-
-        solution = solve_bcc(_instance())
-        profile = solution.meta["profile"]
-        assert "prune" in profile["phases"]
-        assert profile["counts"]["transpose_rebuilds"] >= 0
-
-    def test_explicit_profiler_sees_phases_and_counters(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+    def test_explicit_profiler_sees_phases_and_counters(self):
         from repro.algorithms.bcc import solve_bcc
 
         prof = PhaseProfiler()
         with activate(prof):
             solution = solve_bcc(_instance())
-        assert solution.meta["profile"] == prof.snapshot()
+        assert "prune" in prof.seconds and prof.calls["prune"] == 1
         assert "tracker_probes" in prof.counts
+        assert "transpose_rebuilds" in prof.counts
+        # The profiler is the one copy: the answer carries none of it.
+        assert "profile" not in solution.meta
+        assert "engine" not in solution.meta
 
-    def test_profiled_solution_identical_to_unprofiled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_PROFILE", raising=False)
+    def test_profiled_solution_identical_to_unprofiled(self):
         from repro.algorithms.bcc import solve_bcc
 
         # On the synthetic workload the final swap polish changes the
@@ -157,10 +132,11 @@ class TestSolveBccIntegration:
             assert profiled.classifiers == plain.classifiers
             assert profiled.utility == plain.utility
             assert profiled.cost == plain.cost
+            assert profiled.meta == plain.meta
 
 
 class TestProjectionCounterGate:
-    def test_bisection_rarely_falls_back_to_the_numpy_sum(self, monkeypatch):
+    def test_bisection_rarely_falls_back_to_the_numpy_sum(self):
         """Counter gate on the Lovász arm's capped-simplex projection.
 
         Most bisection steps are decided by the sorted-prefix-sum estimate;
@@ -168,13 +144,14 @@ class TestProjectionCounterGate:
         seeded solve reads about 1 exact sum per 75 steps, so a bound
         breaking into the band on every step fails this by a wide margin.
         """
-        monkeypatch.setenv("REPRO_PROFILE", "1")
         from repro.algorithms.bcc import solve_bcc
         from repro.datasets.synthetic import generate_synthetic
         from repro.mc3 import full_cover_cost
 
         instance = generate_synthetic(60, 40, seed=0)
         instance = instance.with_budget(0.3 * full_cover_cost(instance))
-        counts = solve_bcc(instance).meta["profile"]["counts"]
+        with activate(PhaseProfiler()) as prof:
+            solve_bcc(instance)
+        counts = prof.counts
         assert counts["projection_steps"] > 0
         assert counts["projection_exact"] <= 0.15 * counts["projection_steps"]

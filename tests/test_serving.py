@@ -13,8 +13,9 @@ Covers the full serving surface:
   served without errors, fully certified and mostly warm on both the
   virtual and the system clock (the production mode, whose cold solves
   fan out to the worker pool when ``REPRO_JOBS`` > 1);
-- replan-vs-cold bit-identity and tenant isolation (one tenant's
-  ``StaleWorkloadError`` never fails another's request);
+- replan-vs-cold bit-identity, re-plans that never touch the result
+  cache, and tenant isolation (one tenant's ``StaleWorkloadError`` never
+  fails another's request);
 - degenerate rows (deadline 0, empty workloads) across all engines;
 - the metamorphic determinism property: a trace served twice under a
   virtual clock — and under ``jobs=1`` vs ``jobs=2``, and across coverage
@@ -39,7 +40,7 @@ from repro.datasets.zipf import zipf_rank
 from repro.incremental.delta import WorkloadDelta
 from repro.incremental.engine import IncrementalConfig, IncrementalSolver
 from repro.parallel import fingerprint as fingerprint_module
-from repro.parallel.cache import CACHE_VERSION, ResultCache
+from repro.parallel.cache import CACHE_VERSION, CacheStats, ResultCache
 from repro.serving import (
     PlanRequest,
     ReplanRequest,
@@ -168,8 +169,9 @@ class TestRequests:
         facade = make_facade(tmp_path)
         facade.register_tenant("acme", figure1_instance(4.0))
         (response,) = serve(facade, [PlanRequest("acme")])
-        assert "slo" in response.telemetry  # diagnostics are delivered...
+        assert "slo" in response.solution.meta  # diagnostics are delivered...
         payload = json.loads(response.canonical())
+        assert sorted(payload["solution"]) == ["classifiers", "cost", "covered", "utility"]
         assert "slo" not in payload["telemetry"]  # ...but never canonical
 
 
@@ -447,6 +449,7 @@ class TestCache:
         (response,) = serve(facade, [PlanRequest("acme")])
         assert facade.counters.cache_rejected == 1
         assert facade.counters.cache_hits == 0
+        assert facade.cache.stats.hits == 0  # a refused hit counts as a miss
         assert response.ok  # rejected hit falls back to a cold solve
         assert response.telemetry["cache"] == "rejected"
         assert response.solution.utility == 9.0
@@ -558,21 +561,12 @@ class TestReplan:
         assert repr(warm.solution.utility) == repr(cold.utility)
         verify_solution(mutated, warm.solution, warm.solution.meta["certificate"])
 
-    def test_corrupt_shard_cache_entry_never_reaches_a_tenant(self, tmp_path):
-        # Re-plans share the façade's result cache with the shard solver.
-        # One tampered shard row must not fail this or any later re-plan:
-        # the hit is re-verified, solved cold and overwritten.
+    def test_replans_never_touch_the_result_cache(self, tmp_path):
+        # A tenant's shard solves live only in its own profile store: the
+        # façade's cache holds group answers, and re-plans neither read
+        # nor write it.
         instance = generate_fragmented(3, 6, budget=1e6, seed=4)
         deltas = random_delta_stream(instance, steps=4, rng=random.Random(3), fraction=0.1)
-        earlier = make_facade(tmp_path)
-        earlier.register_tenant("acme", instance)
-        (first,) = serve(earlier, [ReplanRequest("acme", deltas[0])])
-        assert first.ok
-        entry = sorted((tmp_path / "serving-cache").glob("*.json"))[0]
-        payload = json.loads(entry.read_text())
-        payload["solution"]["utility"] += 5.0
-        entry.write_text(json.dumps(payload))
-
         facade = make_facade(tmp_path)
         facade.register_tenant("acme", instance)
         reference = make_facade(tmp_path / "uncached", cache=False)
@@ -582,11 +576,15 @@ class TestReplan:
             (expected,) = serve(reference, [ReplanRequest("acme", delta)])
             assert response.ok, response.error
             assert response.solution.classifiers == expected.solution.classifiers
+            assert repr(response.solution.cost) == repr(expected.solution.cost)
+            assert repr(response.solution.utility) == repr(expected.solution.utility)
             verify_solution(
                 facade._tenants["acme"].instance,
                 response.solution,
                 response.solution.meta["certificate"],
             )
+        assert facade.cache.stats == CacheStats()
+        assert not list((tmp_path / "serving-cache").glob("*"))
 
     def test_stale_replan_is_an_error_response(self, tmp_path):
         facade = make_facade(tmp_path)
