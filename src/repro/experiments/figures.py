@@ -7,12 +7,14 @@ pass ``PAPER`` to approach the paper's sizes.
 
 Execution goes through the task layer (:mod:`repro.parallel`): each
 figure stages every cell of its sweep — budget points × algorithms ×
-randomized trials — into one :class:`~repro.parallel.pool.TaskBatch` and
-runs it in a single batch, so ``parallel=ParallelConfig(jobs=N)`` fans
-the whole sweep out across workers while row assembly stays in the fixed
-serial order.  Randomized arms take per-trial seeds (the trial index, the
-paper's convention); no task shares RNG state, so results are
-bit-identical for every ``jobs`` value.  Passing a cache-bearing config
+randomized trials — as one list of keyed
+:class:`~repro.parallel.pool.SolveTask` objects and runs it in a single
+:func:`~repro.parallel.pool.run_tasks` call, so
+``parallel=ParallelConfig(jobs=N)`` fans the whole sweep out across
+workers while rows are assembled by task key in the fixed serial order.
+Randomized arms take per-trial seeds (the trial index, the paper's
+convention); no task shares RNG state, so results are bit-identical for
+every ``jobs`` value.  Passing a cache-bearing config
 replays previously solved cells, timings included.
 """
 
@@ -34,7 +36,7 @@ from repro.experiments.runner import (
 )
 from repro.experiments.scales import SMALL, Scale
 from repro.mc3 import full_cover_cost
-from repro.parallel.pool import ParallelConfig, TaskBatch
+from repro.parallel.pool import ParallelConfig, SolveTask, run_tasks
 
 BCC_FRACTIONS = (0.05, 0.15, 0.3, 0.6)
 GMC3_FRACTIONS = (0.25, 0.5, 0.75)
@@ -128,14 +130,15 @@ def _bcc_figure(
     result.notes.append(f"MC3 full-cover cost: {full_cost:.0f}")
     result.notes.append(f"total utility: {base.total_utility():.0f}")
 
-    batch = TaskBatch()
+    tasks: List[SolveTask] = []
     for budget in budgets:
         instance = base.with_budget(budget)
         for trial in range(scale.rand_repeats):
-            batch.add(f"B{budget:g}/RAND/{trial}", "rand-bcc", instance, seed=trial)
+            key = f"B{budget:g}/RAND/{trial}"
+            tasks.append(SolveTask(key, "rand-bcc", instance, seed=trial))
         for name, solver in _BCC_ARMS:
-            batch.add(f"B{budget:g}/{name}", solver, instance)
-    results = batch.run(parallel)
+            tasks.append(SolveTask(f"B{budget:g}/{name}", solver, instance))
+    results = {r.key: r for r in run_tasks(tasks, parallel)}
 
     for budget in budgets:
         _add_rand_row(
@@ -234,7 +237,7 @@ def fig3d(
         value_label="total covered utility",
     )
     subinstances = []
-    batch = TaskBatch()
+    tasks: List[SolveTask] = []
     for index, sub in enumerate(_small_subinstances(scale, seed)):
         total_cost = sum(
             sub.cost(c)
@@ -243,9 +246,9 @@ def fig3d(
         )
         instance = sub.with_budget(max(1.0, round(total_cost * 0.4)))
         subinstances.append(instance)
-        batch.add(f"sub{index}/BruteForce", "bcc-exact", instance)
-        batch.add(f"sub{index}/A^BCC", "abcc", instance)
-    results = batch.run(parallel)
+        tasks.append(SolveTask(f"sub{index}/BruteForce", "bcc-exact", instance))
+        tasks.append(SolveTask(f"sub{index}/A^BCC", "abcc", instance))
+    results = {r.key: r for r in run_tasks(tasks, parallel)}
 
     worst_ratio = 1.0
     for index in range(len(subinstances)):
@@ -278,7 +281,7 @@ def _preprocessing_sweep(
         x_label="num queries",
         value_label="runtime (s)" if value == "seconds" else "total covered utility",
     )
-    batch = TaskBatch()
+    tasks: List[SolveTask] = []
     for size in scale.sweep_sizes:
         instance = generate_synthetic(
             n_queries=size,
@@ -286,9 +289,9 @@ def _preprocessing_sweep(
             budget=max(50.0, size * 0.6),
             seed=seed + size,
         )
-        batch.add(f"q{size}/with", "abcc-pruned", instance)
-        batch.add(f"q{size}/without", "abcc-unpruned", instance)
-    results = batch.run(parallel)
+        tasks.append(SolveTask(f"q{size}/with", "abcc-pruned", instance))
+        tasks.append(SolveTask(f"q{size}/without", "abcc-unpruned", instance))
+    results = {r.key: r for r in run_tasks(tasks, parallel)}
 
     for size in scale.sweep_sizes:
         for arm, name in (("with", "with preprocessing"), ("without", "without preprocessing")):
@@ -330,14 +333,15 @@ def _gmc3_figure(
     )
     targets = [round(total * fraction) for fraction in GMC3_FRACTIONS]
 
-    batch = TaskBatch()
+    tasks: List[SolveTask] = []
     for target in targets:
         instance = _as_gmc3(base, target)
         for trial in range(scale.rand_repeats):
-            batch.add(f"T{target:g}/RAND(G)/{trial}", "rand-gmc3", instance, seed=trial)
+            key = f"T{target:g}/RAND(G)/{trial}"
+            tasks.append(SolveTask(key, "rand-gmc3", instance, seed=trial))
         for name, solver in _GMC3_ARMS:
-            batch.add(f"T{target:g}/{name}", solver, instance)
-    results = batch.run(parallel)
+            tasks.append(SolveTask(f"T{target:g}/{name}", solver, instance))
+    results = {r.key: r for r in run_tasks(tasks, parallel)}
 
     for target in targets:
         _add_rand_row(
@@ -395,7 +399,7 @@ def fig4d(
         x_label="num queries",
         value_label="runtime (s)",
     )
-    batch = TaskBatch()
+    tasks: List[SolveTask] = []
     for size in scale.sweep_sizes:
         base = generate_synthetic(
             n_queries=size,
@@ -405,8 +409,8 @@ def fig4d(
         target = round(base.total_utility() * 0.5)
         instance = _as_gmc3(base, target)
         for name, solver in _GMC3_ARMS:
-            batch.add(f"q{size}/{name}", solver, instance)
-    results = batch.run(parallel)
+            tasks.append(SolveTask(f"q{size}/{name}", solver, instance))
+    results = {r.key: r for r in run_tasks(tasks, parallel)}
 
     for size in scale.sweep_sizes:
         for name, _ in _GMC3_ARMS:
@@ -431,12 +435,12 @@ def _ecc_figure(
         x_label="dataset",
         value_label="utility / cost (higher is better)",
     )
-    batch = TaskBatch()
+    tasks: List[SolveTask] = []
     for trial in range(scale.rand_repeats):
-        batch.add(f"RAND(E)/{trial}", "rand-ecc", instance, seed=trial)
+        tasks.append(SolveTask(f"RAND(E)/{trial}", "rand-ecc", instance, seed=trial))
     for name, solver in _ECC_ARMS:
-        batch.add(name, solver, instance)
-    results = batch.run(parallel)
+        tasks.append(SolveTask(name, solver, instance))
+    results = {r.key: r for r in run_tasks(tasks, parallel)}
 
     _add_rand_row(
         result,
@@ -501,12 +505,12 @@ def figfrag(
     result.notes.append(f"total utility: {base.total_utility():.0f}")
 
     arms = _BCC_ARMS + (("A^BCC-sharded", "abcc-sharded"),)
-    batch = TaskBatch()
+    tasks: List[SolveTask] = []
     for budget in budgets:
         instance = base.with_budget(budget)
         for name, solver in arms:
-            batch.add(f"B{budget:g}/{name}", solver, instance)
-    results = batch.run(parallel)
+            tasks.append(SolveTask(f"B{budget:g}/{name}", solver, instance))
+    results = {r.key: r for r in run_tasks(tasks, parallel)}
 
     for budget in budgets:
         for name, _ in arms:

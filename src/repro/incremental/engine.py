@@ -2,8 +2,8 @@
 
 A BCC instance splits into query components (shards) that interact only
 through the shared budget: a classifier only helps queries that contain
-it (:mod:`repro.decompose.partition`).  :class:`IncrementalSolver` owns a
-mutable :class:`BCCInstance` and solves it shard by shard:
+it (:mod:`repro.decompose.partition`).  :class:`IncrementalSolver` holds
+the current :class:`BCCInstance` and solves it shard by shard:
 
 1. the shard partition, recomputed by
    :func:`~repro.decompose.partition.partition_workload` on every
@@ -31,10 +31,12 @@ optimal over the grid of per-shard solutions.
 :func:`solve_bcc_sharded` is the cold entry: this pipeline on an empty
 profile store, except that a one-shard instance runs the inner solver on
 the whole instance.  :meth:`IncrementalSolver.resolve_delta` is the warm
-one: it applies a :class:`~repro.incremental.delta.WorkloadDelta`,
-re-partitions, and solves only the (shard, point) pairs the profile
-store lacks.  A shard is *dirty* iff a task ran for it, and *reused*
-iff the store, the engine's one piece of warm state, served it whole.
+one: it applies a :class:`~repro.incremental.delta.WorkloadDelta` to a
+copy of the workload, re-partitions, solves only the (shard, point)
+pairs the profile store lacks, and makes the copy the solver's workload
+once the re-plan returns, so a failed re-plan commits nothing.  A shard
+is *dirty* iff a task ran for it, and *reused* iff the store, the
+engine's one piece of warm state, served it whole.
 (A shard whose fingerprint hit can still be dirty: a profile stored
 under a non-binding budget holds one point, so a binding budget needs
 its grid.)  The result is *identical* to a cold solve of the mutated
@@ -175,7 +177,11 @@ class ShardProfile:
 
 
 class IncrementalSolver:
-    """Stateful shard solver for a mutable BCC instance: cold, then warm."""
+    """Stateful shard solver for a changing BCC workload: cold, then warm.
+
+    :attr:`instance` is the current workload; a re-plan replaces it with
+    a mutated copy and never mutates the instance it was handed.
+    """
 
     def __init__(
         self,
@@ -195,29 +201,36 @@ class IncrementalSolver:
     # ------------------------------------------------------------------
     def solve(self) -> Solution:
         """Cold solve of the current instance (also primes the warm state)."""
-        return self._resolve(partition_workload(self.instance), delta=None)
+        return self._resolve(self.instance, partition_workload(self.instance), delta=None)
 
     def resolve_delta(self, delta: WorkloadDelta) -> Solution:
         """Apply ``delta`` and re-plan, reusing every untouched shard.
 
-        The delta is validated against the current instance before any
-        mutation; the workload mutates in place (bumping its version, so
-        stale compiled views and trackers fail loudly), is re-partitioned,
-        and only the (shard, point) pairs the profile store lacks are
-        solved.
+        The delta is applied to a copy of :attr:`instance` that carries
+        its version on (each mutation bumps it, so stale compiled views
+        and trackers fail loudly).  The copy is re-partitioned, only the
+        (shard, point) pairs the profile store lacks are solved, and the
+        copy becomes :attr:`instance` once the re-plan returns.  A delta
+        that fails validation or a re-plan that raises leaves the
+        workload, its version and :attr:`deltas_applied` unchanged.
         """
-        delta.validate(self.instance)
-        self.instance.apply_delta(delta)
+        mutated = self.instance.clone()
+        mutated.version = self.instance.version
+        mutated.apply_delta(delta)
+        solution = self._resolve(mutated, partition_workload(mutated), delta=delta)
+        self.instance = mutated
         self.deltas_applied += 1
-        return self._resolve(partition_workload(self.instance), delta=delta)
+        return solution
 
     # ------------------------------------------------------------------
     # the re-plan pipeline
     # ------------------------------------------------------------------
     def _resolve(
-        self, partition: WorkloadPartition, delta: Optional[WorkloadDelta]
+        self,
+        instance: BCCInstance,
+        partition: WorkloadPartition,
+        delta: Optional[WorkloadDelta],
     ) -> Solution:
-        instance = self.instance
         budget = instance.budget
         # Every live shard's profile must survive the whole re-plan: the
         # LRU floor tracks the partition width (evicting a live profile
@@ -321,7 +334,7 @@ class IncrementalSolver:
             bucket = dirty_selection if index in dirty else clean_selection
             bucket.extend(sorted(solution.classifiers, key=sorted))
 
-        self._patch_and_check(clean_selection, dirty_selection)
+        self._patch_and_check(instance, clean_selection, dirty_selection)
 
         result = evaluate(
             instance,
@@ -331,7 +344,9 @@ class IncrementalSolver:
                 "inner_solver": INNER_SOLVER,
                 "incremental": {
                     "version": getattr(instance, "version", 0),
-                    "deltas_applied": self.deltas_applied,
+                    # A re-plan reports its own delta, which counts in
+                    # ``deltas_applied`` once the re-plan returns.
+                    "deltas_applied": self.deltas_applied + (0 if delta is None else 1),
                     "delta_edits": 0 if delta is None else delta.num_edits,
                     "shards": partition.num_shards,
                     "dirty_shards": len(dirty),
@@ -406,6 +421,7 @@ class IncrementalSolver:
     # ------------------------------------------------------------------
     def _patch_and_check(
         self,
+        instance: BCCInstance,
         clean_selection: Sequence[Classifier],
         dirty_selection: Sequence[Classifier],
     ) -> None:
@@ -418,7 +434,7 @@ class IncrementalSolver:
         bit-for-bit.  A tracker whose rollback leaks utility, cost or
         coverage state fails every re-plan immediately.
         """
-        tracker = CoverageTracker(self.instance)
+        tracker = CoverageTracker(instance)
         tracker.add_all(clean_selection)
         tracker.checkpoint()
         tracker.add_all(dirty_selection)
@@ -458,7 +474,9 @@ def solve_bcc_sharded(
     """
     partition = partition_workload(instance)
     if partition.num_shards > 1:
-        return IncrementalSolver(instance, config, seed)._resolve(partition, delta=None)
+        return IncrementalSolver(instance, config, seed)._resolve(
+            instance, partition, delta=None
+        )
 
     from repro.parallel.registry import get_solver
 

@@ -31,10 +31,8 @@ from repro.parallel.corpus import CORPUS_SOLVERS, corpus_figure, corpus_tasks
 from repro.parallel.fingerprint import instance_fingerprint, task_fingerprint
 from repro.parallel.pool import (
     SERIAL,
-    BatchResults,
     ParallelConfig,
     SolveTask,
-    TaskBatch,
     TaskResult,
     resolve_jobs,
     run_tasks,
@@ -58,10 +56,8 @@ __all__ = [
     "instance_fingerprint",
     "task_fingerprint",
     "SERIAL",
-    "BatchResults",
     "ParallelConfig",
     "SolveTask",
-    "TaskBatch",
     "TaskResult",
     "resolve_jobs",
     "run_tasks",

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.model import ClassifierWorkload
@@ -75,17 +75,12 @@ class SolveTask:
         solver: registry name (see :mod:`repro.parallel.registry`).
         instance: the workload to solve (picklable by construction).
         seed: derived seed for randomized solvers; None for deterministic.
-        timeout_s: advisory per-task deadline in seconds.  CPython cannot
-            safely preempt a running solve, so the task is never killed;
-            an overrun is *recorded* on the result (``timed_out=True``)
-            for the scheduler to react to.  None disables the check.
     """
 
     key: str
     solver: str
     instance: ClassifierWorkload
     seed: Optional[int] = None
-    timeout_s: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -96,15 +91,12 @@ class TaskResult:
     clock (wall seconds on the system clock, simulated seconds on a
     virtual one; cache hits replay the original solve's seconds) — the
     single source callers consume instead of re-timing around the batch.
-    ``timed_out`` records whether ``seconds`` exceeded the task's
-    advisory ``timeout_s``.
     """
 
     key: str
     solution: Solution
     seconds: float
     cached: bool = False
-    timed_out: bool = False
 
 
 @dataclass(frozen=True)
@@ -136,10 +128,6 @@ def _execute_task(task: SolveTask, clock: Clock = SYSTEM_CLOCK) -> Tuple[Solutio
 
     solver = get_solver(task.solver)
     return clock.run_task(task, lambda: solver(task.instance, task.seed))
-
-
-def _is_timed_out(task: SolveTask, seconds: float) -> bool:
-    return task.timeout_s is not None and seconds > task.timeout_s
 
 
 def _certifies(task: SolveTask, solution: Solution) -> bool:
@@ -192,10 +180,7 @@ def run_tasks(
             if hit is not None:
                 if _certifies(task, hit[0]):
                     solution, seconds = hit
-                    results[index] = TaskResult(
-                        task.key, solution, seconds, cached=True,
-                        timed_out=_is_timed_out(task, seconds),
-                    )
+                    results[index] = TaskResult(task.key, solution, seconds, cached=True)
                     continue
                 config.cache.reject(fingerprint)
         misses.append(index)
@@ -211,68 +196,8 @@ def run_tasks(
         with ProcessPoolExecutor(max_workers=workers) as executor:
             executed = list(executor.map(_execute_task, miss_tasks, chunksize=chunksize))
     for index, (solution, seconds) in zip(misses, executed):
-        task = tasks[index]
-        results[index] = TaskResult(
-            task.key, solution, seconds, cached=False,
-            timed_out=_is_timed_out(task, seconds),
-        )
+        results[index] = TaskResult(tasks[index].key, solution, seconds)
         if config.cache is not None:
             config.cache.put(fingerprints[index], solution, seconds)
 
     return [result for result in results if result is not None]
-
-
-@dataclass
-class TaskBatch:
-    """An order-preserving task accumulator with keyed result lookup.
-
-    Figure builders stage every cell of a sweep into one batch, run it in
-    a single :func:`run_tasks` call (maximal fan-out across budget points,
-    trials and arms), then assemble rows by key.
-    """
-
-    tasks: List[SolveTask] = field(default_factory=list)
-
-    def add(
-        self,
-        key: str,
-        solver: str,
-        instance: ClassifierWorkload,
-        seed: Optional[int] = None,
-    ) -> str:
-        self.tasks.append(SolveTask(key=key, solver=solver, instance=instance, seed=seed))
-        return key
-
-    def run(self, parallel: Optional[ParallelConfig] = None) -> "BatchResults":
-        return BatchResults(run_tasks(self.tasks, parallel))
-
-
-class BatchResults:
-    """Keyed access to a batch's results (insertion order preserved)."""
-
-    def __init__(self, results: Sequence[TaskResult]) -> None:
-        self._by_key = {result.key: result for result in results}
-
-    def __getitem__(self, key: str) -> TaskResult:
-        return self._by_key[key]
-
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    def __iter__(self):
-        return iter(self._by_key.values())
-
-    def solution(self, key: str) -> Solution:
-        return self._by_key[key].solution
-
-    def seconds(self, key: str) -> float:
-        return self._by_key[key].seconds
-
-    def total_seconds(self) -> float:
-        """Sum of per-task elapsed seconds (clock-measured, cache-replayed).
-
-        The batch's own accounting — callers should consume this instead
-        of re-timing around :meth:`TaskBatch.run`, which would conflate
-        solver time with cache and scheduling overhead.
-        """
-        return sum(result.seconds for result in self._by_key.values())

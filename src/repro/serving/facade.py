@@ -17,11 +17,12 @@ typed error, routed through the machinery the previous PRs built:
   (:func:`~repro.verify.certificate.attach_certificate`), so a tampered
   cache payload is rejected at the serving layer and the request falls
   back to a cold solve.  The cache holds group answers only;
-- **warm re-plans** — ``replan`` requests mutate the tenant's workload
-  through its own :class:`~repro.incremental.engine.IncrementalSolver`,
-  reusing every untouched shard profile from that solver's store (never
-  from the cache), and the façade certifies the answer as it does a
-  cache hit;
+- **warm re-plans** — a ``replan`` request commits its delta through the
+  tenant's own :class:`~repro.incremental.engine.IncrementalSolver`,
+  which solves a mutated copy of the workload, reusing every untouched
+  shard profile from its store (never from the cache), and swaps the
+  copy in once that solve returns; the façade certifies the answer as
+  it does a cache hit;
 - **deadline-policy cold solves** — cache misses go through the PR-8
   :class:`~repro.slo.meta.AnytimeMetaSolver`, which admits arms through
   the PR-3 task pool under the request's latency SLO and always returns
@@ -42,7 +43,9 @@ through the real asyncio loop under exactly that regime.
 Failures are responses, not exceptions: one tenant's
 :class:`~repro.core.errors.StaleWorkloadError` (or invalid delta, or
 unknown-tenant reference) becomes *that request's* error response and
-never disturbs another tenant's in-flight work.
+never disturbs another tenant's in-flight work.  A re-plan that is
+refused or whose solve raises leaves the tenant's workload and version
+unchanged.
 """
 
 from __future__ import annotations
@@ -77,7 +80,8 @@ class ServingConfig:
     """Policy knobs for one façade.
 
     Attributes:
-        arms: the cold-solve portfolio handed to the meta-solver.
+        arms: the cold-solve portfolio handed to the meta-solver; each
+            must be a registered BCC solver, or construction fails.
         clock: injected time; ``None`` uses the system clock.  Install a
             virtual clock (e.g. :func:`~repro.slo.meta.tier_prior_clock`) for
             deterministic replays.

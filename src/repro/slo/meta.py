@@ -49,7 +49,13 @@ from repro.core.solution import Solution, evaluate
 from repro.parallel.clock import SYSTEM_CLOCK, Clock, VirtualClock
 from repro.parallel.fingerprint import instance_fingerprint
 from repro.parallel.pool import ParallelConfig, SolveTask, resolve_jobs, run_tasks
-from repro.parallel.registry import TIER_PRIOR_SECONDS, TIER_RANK, solver_tier
+from repro.parallel.registry import (
+    TIER_PRIOR_SECONDS,
+    TIER_RANK,
+    solver_kind,
+    solver_names,
+    solver_tier,
+)
 from repro.parallel.seeding import seed_for
 from repro.verify.certificate import verify_solution
 
@@ -97,8 +103,8 @@ class SloConfig:
     """Policy knobs for one meta-solver.
 
     Attributes:
-        arms: candidate registry arms (every one must accept a
-            :class:`BCCInstance`).
+        arms: candidate registry arms; each must be registered with kind
+            ``bcc`` (it answers a budgeted :class:`BCCInstance`).
         clock: injected time; None uses the system clock.
         jobs: wave width through the task pool (None → ``REPRO_JOBS``);
             a virtual clock forces 1.
@@ -111,6 +117,9 @@ class SloConfig:
     def __post_init__(self) -> None:
         if not self.arms:
             raise ValueError("the arm portfolio must not be empty")
+        for arm in self.arms:
+            if arm not in solver_names() or solver_kind(arm) != "bcc":
+                raise ValueError(f"arm {arm!r} is not a registered BCC solver")
 
 
 class AnytimeMetaSolver:
@@ -203,14 +212,12 @@ class AnytimeMetaSolver:
             if not wave:
                 break
 
-            timeout = None if math.isinf(remaining) else max(remaining, 0.0)
             tasks = [
                 SolveTask(
                     key=arm,
                     solver=arm,
                     instance=instance,
                     seed=seed_for("slo", arm, fingerprint),
-                    timeout_s=timeout,
                 )
                 for _, arm in wave
             ]
@@ -234,7 +241,10 @@ class AnytimeMetaSolver:
                         "utility": candidate.utility,
                         "cost": candidate.cost,
                         "improved": improved,
-                        "timed_out": result.timed_out,
+                        # Solves are never preempted: an arm that ran
+                        # past the deadline left at its wave's start is
+                        # flagged, not hidden.
+                        "timed_out": result.seconds > max(remaining, 0.0),
                     }
                 )
 

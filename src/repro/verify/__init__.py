@@ -16,8 +16,8 @@ Entry points:
   solution against one instance, and :func:`attach_certificate` to
   record the certificate in the solution's meta;
 - :func:`verify_cover` — check an MC3 full cover;
-- :func:`run_differential` — sweep every registered solver arm over the
-  seeded corpus and cross-check invariants (oracle dominance, the
+- :func:`run_differential` — sweep every arm of the solver registry over
+  the seeded corpus and cross-check invariants (oracle dominance, the
   Knapsack/DkS reduction oracles, GMC3/ECC consistency with BCC at the
   implied budget);
 - :mod:`repro.verify.metamorphic` — semantics-preserving transforms that
@@ -39,6 +39,7 @@ from repro.verify.differential import (
     DifferentialReport,
     Finding,
     SolverArm,
+    arm_view,
     default_arms,
     dishonest_arm,
     run_differential,
@@ -68,6 +69,7 @@ __all__ = [
     "SolverArm",
     "Finding",
     "DifferentialReport",
+    "arm_view",
     "default_arms",
     "dishonest_arm",
     "run_differential",

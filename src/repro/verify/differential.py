@@ -1,10 +1,13 @@
 """Differential verification: all solver arms, cross-checked on a corpus.
 
-Every registered arm runs on every corpus instance; each output is
-certified with :func:`~repro.verify.certificate.verify_solution`, and the
-arms are then cross-checked against one another:
+Every arm of the solver registry (:mod:`repro.parallel.registry`) runs,
+under its registered name, on every corpus instance it applies to
+(:func:`arm_view`); each output is certified with
+:func:`~repro.verify.certificate.verify_solution`, and the arms are then
+cross-checked against one another:
 
-- the brute-force oracle dominates every heuristic at the same budget;
+- the brute-force oracle (:data:`ORACLE`) dominates every heuristic at
+  the same budget;
 - on ``l = 1`` instances the oracle must match the Knapsack-reduction DP
   exactly (Theorem 3.1 — two independent exact solvers, one answer);
 - on ``l <= 2`` instances ``A^BCC`` must stay within the paper's
@@ -30,34 +33,33 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.analysis.bounds import bcc_l2_ratio
 from repro.core.errors import CertificateError, DifferentialError
-from repro.core.model import BCCInstance, ECCInstance, GMC3Instance
-from repro.core.solution import Solution, evaluate
+from repro.core.model import BCCInstance, ClassifierWorkload, ECCInstance, GMC3Instance
+from repro.core.solution import Solution
+from repro.parallel.registry import get_solver, solver_kind, solver_names
 from repro.verify.certificate import verify_cover, verify_solution
 from repro.verify.corpus import CorpusCase, corpus
 
 _TOL = 1e-9
 #: The brute-force oracle refuses above this many feasible classifiers.
 _ORACLE_LIMIT = 24
-
-BccSolver = Callable[[BCCInstance], Solution]
+#: The provably exact registry arm: it defines dominance.
+ORACLE = "bcc-exact"
 
 
 @dataclass(frozen=True)
 class SolverArm:
-    """A registered solver entry point.
+    """A solver entry point as the harness runs it.
 
     Attributes:
-        name: display name (unique within its kind).
+        name: registry name (the planted self-test arm has its own).
         kind: which instance view the arm consumes: ``bcc``, ``gmc3``
             or ``ecc``.
         run: ``instance -> Solution``.
-        oracle: True for provably exact arms (they define dominance).
     """
 
     name: str
     kind: str
     run: Callable
-    oracle: bool = False
 
 
 @dataclass(frozen=True)
@@ -99,74 +101,11 @@ class DifferentialReport:
 
 
 # ----------------------------------------------------------------------
-# the arm registry
+# the arms
 # ----------------------------------------------------------------------
-def _shared_cost_degenerate(instance: BCCInstance) -> Solution:
-    """Shared-costs solver with zero property costs == the base model."""
-    from repro.extensions.shared_costs import SharedCostModel, solve_shared_cost_bcc
-
-    model = SharedCostModel(instance, property_costs={}, default_property_cost=0.0)
-    selection = solve_shared_cost_bcc(model)
-    return evaluate(instance, selection, meta={"algorithm": "shared-costs[d=0]"})
-
-
-def _partial_cover_degenerate(instance: BCCInstance) -> Solution:
-    """Partial-cover solver with a step credit == the base model."""
-    from repro.extensions.partial_cover import (
-        PartialCoverModel,
-        solve_partial_bcc,
-        step_credit,
-    )
-
-    model = PartialCoverModel(instance, credit=step_credit)
-    selection = solve_partial_bcc(model, warm_start=False)
-    return evaluate(instance, selection, meta={"algorithm": "partial-cover[step]"})
-
-
-def _abcc(instance: BCCInstance) -> Solution:
-    from repro.algorithms.bcc import solve_bcc
-
-    return solve_bcc(instance)
-
-
-def _brute(instance: BCCInstance) -> Solution:
-    from repro.algorithms.brute_force import solve_bcc_exact
-
-    return solve_bcc_exact(instance)
-
-
-def _abcc_sharded(instance: BCCInstance) -> Solution:
-    """Decompose-solve-recombine arm (jobs=1: the harness may itself run
-    inside a pool worker)."""
-    from repro.incremental import IncrementalConfig, solve_bcc_sharded
-
-    return solve_bcc_sharded(instance, IncrementalConfig(jobs=1))
-
-
 def default_arms() -> List[SolverArm]:
-    """Every registered solver arm, across all three objectives."""
-    from repro.algorithms.ecc import solve_ecc
-    from repro.algorithms.gmc3 import solve_gmc3
-    from repro.baselines import runners
-
-    return [
-        SolverArm("A^BCC", "bcc", _abcc),
-        SolverArm("A^BCC-sharded", "bcc", _abcc_sharded),
-        SolverArm("brute-force", "bcc", _brute, oracle=True),
-        SolverArm("RAND", "bcc", lambda i: runners.rand_bcc(i, seed=0)),
-        SolverArm("IG1", "bcc", runners.ig1_bcc),
-        SolverArm("IG2", "bcc", runners.ig2_bcc),
-        SolverArm("shared-costs[d=0]", "bcc", _shared_cost_degenerate),
-        SolverArm("partial-cover[step]", "bcc", _partial_cover_degenerate),
-        SolverArm("A^GMC3", "gmc3", solve_gmc3),
-        SolverArm("RAND(G)", "gmc3", lambda i: runners.rand_gmc3(i, seed=0)),
-        SolverArm("IG1(G)", "gmc3", runners.ig1_gmc3),
-        SolverArm("IG2(G)", "gmc3", runners.ig2_gmc3),
-        SolverArm("A^ECC", "ecc", solve_ecc),
-        SolverArm("RAND(E)", "ecc", lambda i: runners.rand_ecc(i, seed=0)),
-        SolverArm("IG1(E)", "ecc", runners.ig1_ecc),
-        SolverArm("IG2(E)", "ecc", runners.ig2_ecc),
-    ]
+    """Every arm of the solver registry, under its registered name and kind."""
+    return [SolverArm(name, solver_kind(name), get_solver(name)) for name in solver_names()]
 
 
 def dishonest_arm(inflate: float = 1.5) -> SolverArm:
@@ -174,7 +113,9 @@ def dishonest_arm(inflate: float = 1.5) -> SolverArm:
 
     Mutation-style fixture for the harness's own tests: it runs a real
     greedy, then reports ``utility * inflate + 1`` without covering
-    anything extra.  Certification must flag it on every instance.
+    anything extra.  Certification must flag it on every instance.  It
+    is never registered, so no registry reader (the SLO portfolio
+    included) can run it.
     """
 
     def run(instance: BCCInstance) -> Solution:
@@ -241,6 +182,26 @@ def _has_finite_full_cover(instance: BCCInstance) -> bool:
     return True
 
 
+def arm_view(arm: SolverArm, instance: BCCInstance) -> Optional[ClassifierWorkload]:
+    """The instance ``arm`` solves for the corpus instance ``instance``.
+
+    BCC arms solve the instance itself, the exact oracle only while its
+    feasible classifiers stay within :data:`_ORACLE_LIMIT`; GMC3 arms a
+    mid-range target, when every query has a finite cover; ECC arms the
+    budget-free workload.  ``None`` when the arm does not apply.
+    """
+    if arm.kind == "gmc3":
+        if not _has_finite_full_cover(instance):
+            return None
+        view = _gmc3_view(instance)
+        return view if view.target > 0 else None
+    if arm.kind == "ecc":
+        return _ecc_view(instance)
+    if arm.name == ORACLE and not _oracle_feasible(instance):
+        return None
+    return instance
+
+
 class _CaseRunner:
     """Runs every arm and cross-check on one corpus case."""
 
@@ -257,30 +218,37 @@ class _CaseRunner:
     def check(self) -> None:
         self.report.checks_run += 1
 
-    # -- BCC ------------------------------------------------------------
-    def run_bcc(self) -> None:
-        instance = self.case.instance
-        utilities: Dict[str, float] = {}
-        oracle_utility: Optional[float] = None
-        oracle_ok = _oracle_feasible(instance)
-        for arm in (a for a in self.arms if a.kind == "bcc"):
-            if arm.oracle and not oracle_ok:
+    def run(self, objectives: Sequence[str]) -> None:
+        """Certify every applicable arm, then cross-check the answers."""
+        utilities: Dict[str, float] = {}  # certified BCC answers, by arm
+        for arm in self.arms:
+            view = arm_view(arm, self.case.instance) if arm.kind in objectives else None
+            if view is None:
                 continue
             try:
-                solution = arm.run(instance)
+                solution = arm.run(view)
             except Exception as exc:  # a crash is a finding, not an abort
                 self.fail(arm.name, "run", f"{type(exc).__name__}: {exc}")
                 continue
             try:
-                verify_solution(instance, solution, budget=instance.budget)
+                verify_solution(
+                    view,
+                    solution,
+                    budget=getattr(view, "budget", None),
+                    target=getattr(view, "target", None),
+                )
                 self.report.solutions_certified += 1
             except CertificateError as exc:
                 self.fail(arm.name, "certificate", str(exc))
                 continue
-            utilities[arm.name] = solution.utility
-            if arm.oracle:
-                oracle_utility = solution.utility
+            if arm.kind == "bcc":
+                utilities[arm.name] = solution.utility
+            elif arm.name == "agmc3":
+                self._check_gmc3_cross(view, solution)
+            elif arm.name == "aecc" and solution.classifiers:
+                self._check_ecc_cross(view, solution)
 
+        oracle_utility = utilities.get(ORACLE)
         if oracle_utility is not None:
             for name, utility in utilities.items():
                 self.check()
@@ -292,7 +260,7 @@ class _CaseRunner:
                         f"optimum {oracle_utility}",
                     )
             self._check_knapsack_reduction(oracle_utility)
-            self._check_l2_bound(oracle_utility, utilities.get("A^BCC"))
+            self._check_l2_bound(oracle_utility, utilities.get("abcc"))
             self._check_mc3_full_cover()
 
     def _check_knapsack_reduction(self, oracle_utility: float) -> None:
@@ -311,7 +279,7 @@ class _CaseRunner:
         self.check()
         if abs(value - oracle_utility) > _TOL * max(1.0, value):
             self.fail(
-                "brute-force",
+                ORACLE,
                 "knapsack-reduction",
                 f"exact BCC_l=1 utility {oracle_utility} != knapsack DP "
                 f"optimum {value} (Theorem 3.1)",
@@ -327,7 +295,7 @@ class _CaseRunner:
         self.check()
         if oracle_utility > bound * abcc_utility + _TOL:
             self.fail(
-                "A^BCC",
+                "abcc",
                 "l2-approximation-bound",
                 f"optimum {oracle_utility} exceeds {bound} x A^BCC utility "
                 f"{abcc_utility} (Theorem 4.7 at alpha=1)",
@@ -366,29 +334,6 @@ class _CaseRunner:
                 f"utility {exact.utility} < total {total}",
             )
 
-    # -- GMC3 -----------------------------------------------------------
-    def run_gmc3(self) -> None:
-        instance = self.case.instance
-        if not _has_finite_full_cover(instance):
-            return
-        view = _gmc3_view(instance)
-        if view.target <= 0:
-            return
-        for arm in (a for a in self.arms if a.kind == "gmc3"):
-            try:
-                solution = arm.run(view)
-            except Exception as exc:
-                self.fail(arm.name, "run", f"{type(exc).__name__}: {exc}")
-                continue
-            try:
-                verify_solution(view, solution, target=view.target)
-                self.report.solutions_certified += 1
-            except CertificateError as exc:
-                self.fail(arm.name, "certificate", str(exc))
-                continue
-            if arm.name == "A^GMC3":
-                self._check_gmc3_cross(view, solution)
-
     def _check_gmc3_cross(self, view: GMC3Instance, solution: Solution) -> None:
         from repro.algorithms.brute_force import solve_bcc_exact
         from repro.mc3 import full_cover_cost
@@ -397,7 +342,7 @@ class _CaseRunner:
         self.check()
         if solution.cost > full_cost * (1.0 + _TOL) + _TOL:
             self.fail(
-                "A^GMC3",
+                "agmc3",
                 "full-cover-ceiling",
                 f"GMC3 cost {solution.cost} exceeds the MC3 full-cover "
                 f"cost {full_cost}",
@@ -409,37 +354,18 @@ class _CaseRunner:
         self.check()
         if exact.utility < view.target - _TOL * max(1.0, view.target):
             self.fail(
-                "A^GMC3",
+                "agmc3",
                 "implied-budget-vs-exact-bcc",
                 f"exact BCC at the implied budget {implied.budget} reaches "
                 f"{exact.utility} < target {view.target} although the GMC3 "
                 f"answer itself is feasible there",
             )
 
-    # -- ECC ------------------------------------------------------------
-    def run_ecc(self) -> None:
-        instance = self.case.instance
-        view = _ecc_view(instance)
-        for arm in (a for a in self.arms if a.kind == "ecc"):
-            try:
-                solution = arm.run(view)
-            except Exception as exc:
-                self.fail(arm.name, "run", f"{type(exc).__name__}: {exc}")
-                continue
-            try:
-                verify_solution(view, solution)
-                self.report.solutions_certified += 1
-            except CertificateError as exc:
-                self.fail(arm.name, "certificate", str(exc))
-                continue
-            if arm.name == "A^ECC" and solution.classifiers:
-                self._check_ecc_cross(view, solution)
-
     def _check_ecc_cross(self, view: ECCInstance, solution: Solution) -> None:
         from repro.algorithms.brute_force import solve_bcc_exact
 
         if math.isinf(solution.cost):
-            self.fail("A^ECC", "finite-cost", "ECC selected an infinite-cost classifier")
+            self.fail("aecc", "finite-cost", "ECC selected an infinite-cost classifier")
             return
         implied = view.as_bcc(solution.cost * (1.0 + _TOL) + _TOL)
         if not _oracle_feasible(implied):
@@ -448,7 +374,7 @@ class _CaseRunner:
         self.check()
         if solution.utility > exact.utility + _TOL:
             self.fail(
-                "A^ECC",
+                "aecc",
                 "implied-budget-vs-exact-bcc",
                 f"ECC utility {solution.utility} exceeds the exact BCC "
                 f"optimum {exact.utility} at budget {implied.budget}",
@@ -469,13 +395,7 @@ def run_differential(
     started = time.perf_counter()
     for case in cases:
         report.cases += 1
-        runner = _CaseRunner(case, arms, report)
-        if "bcc" in objectives:
-            runner.run_bcc()
-        if "gmc3" in objectives:
-            runner.run_gmc3()
-        if "ecc" in objectives:
-            runner.run_ecc()
+        _CaseRunner(case, arms, report).run(objectives)
     report.elapsed_sec = time.perf_counter() - started
     return report
 

@@ -41,7 +41,6 @@ from repro.parallel import (
     ParallelConfig,
     ResultCache,
     SolveTask,
-    TaskBatch,
     corpus_figure,
     corpus_tasks,
     default_cache,
@@ -467,14 +466,6 @@ class TestPool:
         task = SolveTask(key="same", solver="abcc", instance=_tiny_instance())
         with pytest.raises(ValueError, match="duplicate task key"):
             run_tasks([task, task], None)
-
-    def test_batch_results_keyed_access(self):
-        batch = TaskBatch()
-        batch.add("one", "abcc", _tiny_instance())
-        results = batch.run(None)
-        assert len(results) == 1
-        assert results.solution("one").utility == results["one"].solution.utility
-        assert results.seconds("one") >= 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ Covers the full serving surface:
   virtual and the system clock (the production mode, whose cold solves
   fan out to the worker pool when ``REPRO_JOBS`` > 1);
 - replan-vs-cold bit-identity, re-plans that never touch the result
-  cache, and tenant isolation (one tenant's ``StaleWorkloadError`` never
-  fails another's request);
+  cache, failed re-plans that commit nothing, and tenant isolation (one
+  tenant's ``StaleWorkloadError`` never fails another's request);
 - degenerate rows (deadline 0, empty workloads) across all engines;
 - the metamorphic determinism property: a trace served twice under a
   virtual clock — and under ``jobs=1`` vs ``jobs=2``, and across coverage
@@ -34,10 +34,11 @@ from hypothesis import given, settings
 
 from repro.core import BCCInstance, from_letters as fs
 from repro.core.bitset import ENGINES, use_engine
-from repro.core.errors import InvalidInstanceError, UnknownTenantError
+from repro.core.errors import DecompositionError, InvalidInstanceError, UnknownTenantError
 from repro.datasets.fragmented import generate_fragmented
 from repro.datasets.zipf import zipf_rank
-from repro.incremental.delta import WorkloadDelta
+from repro.incremental import engine as engine_module
+from repro.incremental.delta import WorkloadDelta, random_delta
 from repro.incremental.engine import IncrementalConfig, IncrementalSolver
 from repro.parallel import fingerprint as fingerprint_module
 from repro.parallel.cache import CACHE_VERSION, CacheStats, ResultCache
@@ -608,6 +609,36 @@ class TestReplan:
         bad, good = serve(facade, [stale, PlanRequest("beta")])
         assert not bad.ok and bad.error == "StaleWorkloadError"
         assert good.ok and good.solution.utility == 9.0
+
+    def test_failed_replan_commits_nothing(self, tmp_path, monkeypatch):
+        # A re-plan that raises leaves the tenant's workload and version as
+        # they were, so the same request can be retried as it stood.
+        instance = generate_fragmented(3, 6, budget=1e6, seed=4)
+        delta = random_delta(instance, random.Random(3), fraction=0.1)
+        request = ReplanRequest("acme", delta, expected_version=0)
+        facade = make_facade(tmp_path)
+        facade.register_tenant("acme", instance)
+        before = fingerprint_module.instance_fingerprint(facade._tenants["acme"].instance)
+
+        def broken(*args, **kwargs):
+            raise DecompositionError("injected recombination fault")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(engine_module, "_check_composition", broken)
+            (failed,) = serve(facade, [request])
+        assert not failed.ok and failed.error == "DecompositionError"
+        assert facade.tenant_version("acme") == 0
+        after = fingerprint_module.instance_fingerprint(facade._tenants["acme"].instance)
+        assert after == before
+
+        (retried,) = serve(facade, [request])
+        fresh = make_facade(tmp_path, cache=False)
+        fresh.register_tenant("acme", instance)
+        (expected,) = serve(fresh, [request])
+        assert retried.ok, retried.error
+        assert retried.solution.classifiers == expected.solution.classifiers
+        assert repr(retried.solution.utility) == repr(expected.solution.utility)
+        assert repr(retried.solution.cost) == repr(expected.solution.cost)
 
     def test_invalid_delta_is_an_error_response(self, tmp_path):
         facade = make_facade(tmp_path)

@@ -30,8 +30,9 @@ from repro.core.errors import IncumbentCertificateError, InvalidInstanceError
 from repro.core.solution import evaluate
 from repro.datasets import generate_fragmented
 from repro.parallel.clock import SYSTEM_CLOCK, SystemClock, VirtualClock
-from repro.parallel.pool import BatchResults, ParallelConfig, SolveTask, run_tasks
+from repro.parallel.pool import ParallelConfig, SolveTask, run_tasks
 from repro.parallel.registry import COST_TIERS, TIER_PRIOR_SECONDS, solver_tier
+from repro.serving import ServingConfig, ServingFacade
 from repro.slo import AnytimeMetaSolver, SloConfig, solve_slo, tier_prior_clock
 from repro.slo.meta import DEFAULT_ARMS
 from repro.verify import check_incumbent_trace
@@ -111,16 +112,14 @@ class TestTierPriors:
 
 
 # ----------------------------------------------------------------------
-# pool plumbing: clocks and advisory timeouts
+# pool plumbing: clocks
 # ----------------------------------------------------------------------
 class TestPoolClockPlumbing:
-    def _task(self, key="t", timeout_s=None):
+    def _task(self):
         instance = BCCInstance(
             [fs("ab")], {fs("ab"): 5.0}, {fs("ab"): 1.0}, budget=10.0
         )
-        return SolveTask(
-            key=key, solver="ig1-bcc", instance=instance, timeout_s=timeout_s
-        )
+        return SolveTask(key="t", solver="ig1-bcc", instance=instance)
 
     def test_virtual_clock_reports_simulated_seconds(self):
         clock = VirtualClock(task_seconds=lambda task: 1.5)
@@ -129,25 +128,6 @@ class TestPoolClockPlumbing:
         )
         assert results[0].seconds == 1.5
         assert clock.now() == 1.5
-
-    def test_task_over_its_advisory_timeout_is_flagged(self):
-        clock = VirtualClock(task_seconds=lambda task: 2.0)
-        results = run_tasks(
-            [self._task("a", timeout_s=1.0), self._task("b", timeout_s=3.0)],
-            ParallelConfig(jobs=1, clock=clock),
-        )
-        assert results[0].timed_out is True
-        assert results[1].timed_out is False
-
-    def test_batch_results_sum_their_seconds(self):
-        clock = VirtualClock(task_seconds=lambda task: 0.5)
-        results = BatchResults(
-            run_tasks(
-                [self._task("a"), self._task("b")],
-                ParallelConfig(jobs=1, clock=clock),
-            )
-        )
-        assert results.total_seconds() == pytest.approx(1.0)
 
 
 # ----------------------------------------------------------------------
@@ -280,6 +260,9 @@ class TestAnytimeMetaSolver:
         assert slo["incumbent_updates"] == sum(
             1 for entry in slo["arms_tried"] if entry["improved"]
         )
+        # Every admitted arm finished inside the deadline left at its start.
+        assert slo["arms_tried"]
+        assert all(entry["timed_out"] is False for entry in slo["arms_tried"])
 
     @pytest.mark.parametrize("deadline_ms", [0.0, 20.0, 60.0, None])
     def test_every_arm_is_predicted_at_its_tier_prior(self, deadline_ms):
@@ -302,6 +285,13 @@ class TestAnytimeMetaSolver:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SloConfig(arms=())
+        # Only a registered BCC solver answers a budgeted question: a GMC3
+        # arm crashes on the instance and an ECC arm ignores its budget.
+        for arm in ("agmc3", "aecc", "nope"):
+            with pytest.raises(ValueError, match=arm):
+                SloConfig(arms=("ig1-bcc", arm))
+        with pytest.raises(ValueError, match="aecc"):
+            ServingFacade(ServingConfig(arms=("aecc",)))
 
     def test_solve_slo_wrapper_matches_the_class(self):
         workload = _workload()

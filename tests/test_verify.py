@@ -35,11 +35,13 @@ from repro.core.errors import (
 )
 from repro.datasets.synthetic import generate_synthetic
 from repro.mc3 import solve_mc3
+from repro.parallel.registry import solver_kind, solver_names
 from repro.verify import (
     SolutionCertificate,
     attach_certificate,
     build_certificate,
     corpus,
+    default_arms,
     dishonest_arm,
     run_differential,
     run_metamorphic,
@@ -247,6 +249,14 @@ class TestDifferentialHarness:
         )
         with pytest.raises(DifferentialError):
             report.raise_on_failure()
+
+    def test_default_arms_are_the_registry(self):
+        # The harness keeps no arm list of its own: it runs every registry
+        # entry, under its registered name, on the objective it solves.
+        arms = default_arms()
+        assert {arm.name for arm in arms} == set(solver_names())
+        for arm in arms:
+            assert arm.kind == solver_kind(arm.name), arm.name
 
     def test_default_arms_certify_cleanly(self):
         report = run_differential(corpus(seeds=range(1)))
